@@ -73,6 +73,16 @@ class UniformHypergraph:
     def edge_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.edges)
 
+    @cached_property
+    def links(self) -> tuple[frozenset[tuple[int, ...]], ...]:
+        """``links[v]`` holds the sorted (r-1)-tuples S with S + {v} an edge,
+        for v in 1..n; entry 0 is empty so vertices index directly."""
+        acc: list[set] = [set() for _ in range(self.n + 1)]
+        for e in self.edges:
+            for k, v in enumerate(e):
+                acc[v].add(e[:k] + e[k + 1:])
+        return tuple(frozenset(s) for s in acc)
+
     def has_edge(self, e: Iterable[int]) -> bool:
         return tuple(sorted(e)) in self.edge_set
 
@@ -219,16 +229,11 @@ def link_difference(G: UniformHypergraph, j: int, i: int) -> frozenset[tuple[int
     """The (r-1)-sets e with i not in e, e + {j} an edge, and e + {i} not an edge."""
     if i == j:
         raise ValueError(f"link difference needs distinct vertices, got i = j = {i}")
-    out = set()
-    for edge in G.edges:
-        if j not in edge:
-            continue
-        rest = tuple(v for v in edge if v != j)
-        if i in rest:
-            continue
-        if not G.has_edge(rest + (i,)):
-            out.add(rest)
-    return frozenset(out)
+    for v in (j, i):
+        if not 1 <= v <= G.n:
+            raise ValueError(f"vertex {v} leaves the range 1..{G.n}")
+    other = G.links[i]
+    return frozenset(S for S in G.links[j] if i not in S and S not in other)
 
 
 def symmetrize_pair(G: UniformHypergraph, x: Weights, i: int, j: int) -> WeightVector:

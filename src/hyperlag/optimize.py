@@ -98,6 +98,7 @@ class OptimizationResult:
     support: tuple[int, ...]
     stationarity_residual: float
     starts_converged: int
+    converged: bool  # the stationarity residual at argmax is within tolerance
 
     def to_json(self) -> dict:
         return {
@@ -106,6 +107,7 @@ class OptimizationResult:
             "support": list(self.support),
             "stationarity_residual": self.stationarity_residual,
             "starts_converged": self.starts_converged,
+            "converged": self.converged,
         }
 
 
@@ -212,7 +214,7 @@ def maximize_lagrangian(
         raise ValueError("maximization needs at least one vertex")
     if G.m == 0:
         wv = WeightVector.uniform(G.n)
-        return OptimizationResult(0.0, wv, tuple(range(1, G.n + 1)), 0.0, cfg.restarts)
+        return OptimizationResult(0.0, wv, tuple(range(1, G.n + 1)), 0.0, cfg.restarts, True)
 
     E = _edge_array(G)
     starts = _starting_points(G, cfg)
@@ -236,6 +238,7 @@ def maximize_lagrangian(
         support=supports[pick],
         stationarity_residual=report.residual,
         starts_converged=sum(1 for _, _, conv in runs if conv),
+        converged=report.passed,
     )
 
 
@@ -269,29 +272,25 @@ def lagrangian_gradient_float(G: UniformHypergraph, w) -> list[float]:
 
 
 def symmetry_reduce(G: UniformHypergraph) -> list[list[int]]:
-    """Partition the vertices by the transitive closure of "both link
-    differences empty".  Weights may be tied inside a class without lowering
-    the achievable maximum, so the search dimension shrinks to the number of
-    classes."""
-    parent = list(range(G.n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(1, G.n + 1):
-        for j in range(i + 1, G.n + 1):
-            if find(i) == find(j):
-                continue
-            if not link_difference(G, i, j) and not link_difference(G, j, i):
-                parent[find(j)] = find(i)
-
-    groups: dict[int, list[int]] = {}
+    """Partition the vertices into twin classes: i and j are twins when both
+    link differences are empty, that is, when the transposition (i j) is an
+    automorphism.  Such transpositions compose, so each vertex is compared
+    only with the first member of each class of equal degree.  Weights may be
+    tied inside a class without lowering the achievable maximum."""
+    classes: list[list[int]] = []
+    by_degree: dict[int, list[list[int]]] = {}
     for v in range(1, G.n + 1):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values(), key=lambda cls: cls[0])
+        same = by_degree.setdefault(len(G.links[v]), [])
+        for cls in same:
+            u = cls[0]
+            if not link_difference(G, u, v) and not link_difference(G, v, u):
+                cls.append(v)
+                break
+        else:
+            cls = [v]
+            same.append(cls)
+            classes.append(cls)
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +340,12 @@ def grid_oracle(G: UniformHypergraph, resolution: int, allow_large: bool = False
     """Exact maximum of the Lagrangian over lattice points (a_1/N, ..., a_n/N).
 
     Scores are integer sums of products of lattice counts, so the result is
-    an exact rational.  Working guarantee, validated empirically: the true
-    maximum exceeds the oracle by at most r^2 / N.  Guarded to n <= 8 because
-    the lattice grows combinatorially; pass ``allow_large=True`` to override.
+    an exact rational.  For N >= r, lambda <= N^r / (N)_r * oracle with
+    (N)_r = N(N-1)...(N-r+1): for K ~ Multinomial(N, x) and distinct i_1..i_r,
+    E[K_i1 ... K_ir] = (N)_r x_i1 ... x_ir, so some lattice point K/N scores
+    at least (N)_r / N^r * lambda (the grid argument of Bomze and de Klerk).
+    Guarded to n <= 8 because the lattice grows combinatorially; pass
+    ``allow_large=True`` to override.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")

@@ -36,6 +36,7 @@ def test_construct_theorem1_then_lagrangian_roundtrip(capsys, tmp_path):
     payload = json.loads(stdout)
     assert payload["value"] >= 1175 / 25**3 - 1e-9
     assert payload["stationarity_residual"] < 1e-6
+    assert payload["converged"] is (payload["stationarity_residual"] <= payload["config"]["tol"])
 
 
 def test_construct_sparse_passes_checker(capsys, tmp_path):

@@ -219,6 +219,13 @@ def test_link_difference_cases():
         link_difference(E1, 2, 2)
 
 
+def test_link_difference_rejects_vertices_out_of_range():
+    G = UniformHypergraph(3, 4, [(1, 3, 4)])
+    for j, i in ((1, -1), (-1, 1), (1, 0), (0, 1), (1, 5), (5, 1)):
+        with pytest.raises(ValueError, match="range"):
+            link_difference(G, j, i)
+
+
 def test_symmetrize_pair_example():
     G = UniformHypergraph(3, 3, [(1, 2, 3)])
     x = WeightVector((0.5, 0.1, 0.4))

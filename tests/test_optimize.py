@@ -9,7 +9,15 @@ import pytest
 
 from hyperlag.closedform import alpha_k
 from hyperlag.constructions import build_b2k, build_theorem1_base
-from hyperlag.hypercore import BlowupSpec, UniformHypergraph, WeightVector, blowup, density, lagrangian_value
+from hyperlag.hypercore import (
+    BlowupSpec,
+    UniformHypergraph,
+    WeightVector,
+    blowup,
+    density,
+    lagrangian_value,
+    link_difference,
+)
 from hyperlag.optimize import (
     OptimizerConfig,
     grid_oracle,
@@ -129,7 +137,8 @@ def test_oracle_vs_optimizer_on_random_graphs():
         G = random_graph(rng)
         value = maximize_lagrangian(G, CFG).value
         oracle = float(grid_oracle(G, 30))
-        assert oracle - 1e-9 <= value <= oracle + 9 / 30 + 1e-9
+        # proven gap: lambda <= N^3 / (N)_3 * oracle at N = 30
+        assert oracle - 1e-9 <= value <= oracle * 30**3 / (30 * 29 * 28) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +166,18 @@ def test_stationarity_flags_non_optimum():
     assert not rep.passed
 
 
+def test_converged_flag_reports_the_tolerance_check():
+    # the backtracking line search stalls above 1e-9 on the t1 base at t = 30
+    res = maximize_lagrangian(build_theorem1_base(30))
+    assert res.stationarity_residual > 1e-9
+    assert res.converged is False
+    assert res.to_json()["converged"] is False
+    res = maximize_lagrangian(complete3(5))
+    assert res.stationarity_residual <= 1e-9
+    assert res.converged is True
+    assert res.to_json()["converged"] is True
+
+
 def test_stationarity_at_every_reported_argmax():
     rng = random.Random(101)
     for _ in range(10):
@@ -175,6 +196,66 @@ def test_symmetry_classes():
     classes = symmetry_reduce(build_theorem1_base(25))
     assert [len(c) for c in classes] == [10, 10, 5]
     assert classes[0] == list(range(1, 11))
+
+
+def brute_link_difference(G, j, i):
+    """Reference: scan every edge for the link difference L(j \\ i)."""
+    out = set()
+    for edge in G.edges:
+        rest = tuple(v for v in edge if v != j)
+        if len(rest) < len(edge) and i not in rest and not G.has_edge(rest + (i,)):
+            out.add(rest)
+    return frozenset(out)
+
+
+def union_find_classes(G):
+    """Reference: the transitive closure of "both link differences empty" over
+    all vertex pairs."""
+    parent = list(range(G.n + 1))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, j in itertools.combinations(range(1, G.n + 1), 2):
+        if not brute_link_difference(G, i, j) and not brute_link_difference(G, j, i):
+            parent[find(j)] = find(i)
+    groups = {}
+    for v in range(1, G.n + 1):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values(), key=lambda cls: cls[0])
+
+
+def twin_test_graphs():
+    rng = random.Random(404)
+    for r in (2, 3, 4):
+        for _ in range(12):
+            n = rng.randint(r, 7)
+            pool = list(itertools.combinations(range(1, n + 1), r))
+            G = UniformHypergraph(r, n, rng.sample(pool, rng.randint(0, len(pool))))
+            yield G
+            yield blowup(G, BlowupSpec(tuple(rng.randint(1, 3) for _ in range(n))))
+
+
+def test_symmetry_reduce_matches_all_pairs_closure():
+    with_twins = 0
+    for G in twin_test_graphs():
+        classes = symmetry_reduce(G)
+        assert classes == union_find_classes(G)
+        with_twins += len(classes) < G.n
+        for cls in classes:
+            for u, v in itertools.combinations(cls, 2):
+                swap = {u: v, v: u}
+                image = {tuple(sorted(swap.get(w, w) for w in e)) for e in G.edges}
+                assert image == G.edge_set
+    assert with_twins >= 36  # keeps the twin case covered if the seed changes
+
+
+def test_link_difference_matches_edge_scan():
+    for G in twin_test_graphs():
+        for j, i in itertools.permutations(range(1, G.n + 1), 2):
+            assert link_difference(G, j, i) == brute_link_difference(G, j, i)
 
 
 def test_blowup_invariance_of_maximum():

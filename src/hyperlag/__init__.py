@@ -59,6 +59,7 @@ from .constructions import (
     check_local_sparsity_naive,
     generate_sparse_adder,
     instantiate_pattern,
+    pattern_edge_count,
     pattern_part_sizes,
 )
 from .certify import (

@@ -14,7 +14,6 @@ own; every "<=" that matters is paired with an exact case analysis.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,14 +42,16 @@ from .closedform import (
     verify_theorem1_quartic_identity,
 )
 from .constructions import (
+    PartitionPattern,
     SparseAdderParams,
-    build_theorem1_base,
-    build_theorem3_pattern,
     assemble_gstar,
+    blow_up_pattern,
+    build_theorem3_pattern,
     generate_sparse_adder,
-    instantiate_pattern,
+    gstar_target,
+    pattern_edge_count,
     pattern_parts,
-    theorem1_parts,
+    theorem1_pattern,
 )
 from .hypercore import UniformHypergraph
 from .optimize import OptimizerConfig, iter_lattice, maximize_lagrangian, project_to_simplex
@@ -130,15 +131,11 @@ def reduce_star(M: UniformHypergraph, part: Sequence[int]) -> UniformHypergraph:
     if M.r != 3:
         raise ValueError(f"star reduction is specific to arity 3, got r = {M.r}")
     members = sorted(set(int(v) for v in part))
-    if members and (members[0] < 1 or members[-1] > M.n):
-        raise ValueError(f"part leaves the vertex range 1..{M.n}")
     inside = set(members)
-    kept = [e for e in M.edges if not inside.issuperset(e)]
-    star = []
-    if len(members) >= 3:
-        v1, v2 = members[0], members[1]
-        star = [(v1, v2, vj) for vj in members[2:]]
-    return UniformHypergraph(M.r, M.n, kept + star)
+    kept = UniformHypergraph(M.r, M.n, [e for e in M.edges if not inside.issuperset(e)])
+    size = len(members)
+    star = UniformHypergraph(3, size, [(1, 2, v) for v in range(3, size + 1)])
+    return assemble_gstar(kept, star, members)
 
 
 # ---------------------------------------------------------------------------
@@ -584,39 +581,40 @@ def check_blowup_density_gain(
     seed: int = 0,
     k: int | None = None,
 ) -> DensityGainReport:
-    """Build the augmented construction and account for the density gain.
+    """Account for the density gain of the augmented construction G*.
 
-    The uniform-weight Lagrangian lower bound |E(G*)| / t^3 exceeds the target
+    Only the adder is built: |E(base)| is counted from the pattern, and the
+    adder edges are disjoint from the base exactly when no template lies
+    inside the target part, so |E(G*)| = |E(base)| + |E(adder)|.  The
+    uniform-weight Lagrangian lower bound |E(G*)| / t^3 exceeds the target
     constant exactly when the adder clears the achieved base shortfall
     target * t^3 - |E(base)| (an exact identity, asserted here); the report
     also carries the ideal t^2 shortfall for comparison.  All margins are
     exact: rational for the 2/25 family, surd-signed for alpha_k/6.
     """
+    pattern, part = gstar_target(kind, t, k)
+    lo, hi = pattern_parts(pattern, t)[part - 1]
     if kind == "t1":
-        base = build_theorem1_base(t)
-        lo, hi = theorem1_parts(t)[0]
         target = T1_CONSTANT
         deficit_ideal = Fraction(3 * t * t, 25)
         recipe_edges = (2 * t // 5) ** 2
-    elif kind == "t3":
-        if k is None or k < 2:
-            raise ValueError("kind 't3' needs k >= 2")
-        pattern = build_theorem3_pattern(k)
-        base = instantiate_pattern(pattern, t)
-        lo, hi = pattern_parts(pattern, t)[-1]
+    else:
         target = alpha_k(k) / 6
         deficit_ideal = theorem3_c0(k) * (t * t)
         recipe_edges = k * (hi - lo + 1) ** 2
-    else:
-        raise ValueError(f"unknown kind {kind!r}, expected 't1' or 't3'")
+    # a template inside the part puts every r-subset of it in the base, so
+    # every adder edge would clash; no other template reaches inside
+    inside = (part,) * pattern.r
+    if inside in pattern.templates:
+        raise ValueError(f"template {inside} lies inside the target part: "
+                         "every adder edge is already in the base")
 
-    part = list(range(lo, hi + 1))
-    adder = generate_sparse_adder(SparseAdderParams(s=s, c=c, t=len(part), seed=seed))
-    gstar = assemble_gstar(base, adder, part)
+    base_edges = pattern_edge_count(pattern, t)
+    adder = generate_sparse_adder(SparseAdderParams(s=s, c=c, t=hi - lo + 1, seed=seed))
 
-    bound = Fraction(gstar.m, t**3)
+    bound = Fraction(base_edges + adder.m, t**3)
     margin = bound - target
-    deficit_achieved = target * (t**3) - base.m
+    deficit_achieved = target * (t**3) - base_edges
     # identity: margin == (adder_edges - deficit_achieved) / t^3
     if (margin * (t**3) - (adder.m - deficit_achieved)) != 0:
         raise ArithmeticError("density-gain accounting identity failed")
@@ -629,7 +627,7 @@ def check_blowup_density_gain(
         c=float(c),
         seed=seed,
         target=target,
-        base_edges=base.m,
+        base_edges=base_edges,
         adder_edges=adder.m,
         recipe_adder_edges=recipe_edges,
         bound=bound,
@@ -672,40 +670,13 @@ class ProfilesReport:
         }
 
 
-def _star_edges(members: Sequence[int]) -> list[tuple[int, int, int]]:
-    if len(members) < 3:
-        return []
-    v1, v2 = members[0], members[1]
-    return [(v1, v2, vj) for vj in members[2:]]
-
-
-def _t1_profile_graph(profile: tuple[int, int, int]) -> UniformHypergraph:
-    s1, s2, s3 = profile
-    p1 = list(range(1, s1 + 1))
-    p2 = list(range(s1 + 1, s1 + s2 + 1))
-    p3 = list(range(s1 + s2 + 1, s1 + s2 + s3 + 1))
-    edges: list[tuple[int, ...]] = list(itertools.product(p1, p2, p3))
-    edges += [(a, b, c) for a, b in itertools.combinations(p1, 2) for c in p2]
-    edges += [(a, b, c) for a, b in itertools.combinations(p2, 2) for c in p3]
-    edges += _star_edges(p1)
-    return UniformHypergraph(3, s1 + s2 + s3, edges)
-
-
-def _t3_profile_graph(k: int, profile: tuple[int, ...]) -> UniformHypergraph:
-    blocks, lo = [], 1
-    for size in profile:
-        blocks.append(list(range(lo, lo + size)))
-        lo += size
-    first, apex = blocks[:-1], blocks[-1]
-    edges: list[tuple[int, ...]] = []
-    for i, j, l in itertools.combinations(range(2 * k), 3):
-        edges += list(itertools.product(first[i], first[j], first[l]))
-    for i, j in itertools.combinations(range(2 * k), 2):
-        edges += list(itertools.product(first[i], first[j], apex))
-    for i in range(2 * k):
-        edges += [(v, x, y) for v in first[i] for x, y in itertools.combinations(apex, 2)]
-    edges += _star_edges(apex)
-    return UniformHypergraph(3, sum(profile), edges)
+def _profile_graph(
+    pattern: PartitionPattern, part: int, profile: tuple[int, ...]
+) -> UniformHypergraph:
+    """The pattern blown up at the profile's part sizes, with the star as
+    the edges inside ``part`` (the part that receives the adder in G*)."""
+    lo = sum(profile[: part - 1]) + 1
+    return reduce_star(blow_up_pattern(pattern, profile), range(lo, lo + profile[part - 1]))
 
 
 def _t1_profiles(s: int):
@@ -755,20 +726,21 @@ def enumerate_profiles_and_bound(
     if kind == "t1":
         constant = float(T1_CONSTANT)
         profiles = list(_t1_profiles(s))
-        builder = _t1_profile_graph
+        pattern, part = theorem1_pattern(), 1
     elif kind == "t3":
         if k is None or k < 2:
             raise ValueError("kind 't3' needs k >= 2")
         constant = float(alpha_k(k)) / 6
         profiles = list(_t3_profiles(k, s))
-        builder = lambda p: _t3_profile_graph(k, p)
+        pattern = build_theorem3_pattern(k)
+        part = pattern.num_parts
     else:
         raise ValueError(f"unknown kind {kind!r}, expected 't1' or 't3'")
 
     worst_value, worst_profile = -1.0, None
     violations = []
     for profile in profiles:
-        value = maximize_lagrangian(builder(profile), cfg).value
+        value = maximize_lagrangian(_profile_graph(pattern, part, profile), cfg).value
         if value > worst_value:
             worst_value, worst_profile = value, profile
         if value > constant + tol:

@@ -108,24 +108,16 @@ def cmd_construct(args) -> int:
 
 
 def _build_gstar(args):
-    if args.kind == "t1":
-        base = constructions.build_theorem1_base(args.t)
-        parts = constructions.theorem1_parts(args.t)
-        lo, hi = parts[0]
-        meta_kind, k = "gstar_t1", None
-    else:
-        if args.k is None:
-            raise ValueError("gstar with --kind t3 needs --k")
-        pattern = constructions.build_theorem3_pattern(args.k)
-        base = constructions.instantiate_pattern(pattern, args.t)
-        parts = constructions.pattern_parts(pattern, args.t)
-        lo, hi = parts[-1]
-        meta_kind, k = "gstar_t3", args.k
+    pattern, part = constructions.gstar_target(args.kind, args.t, args.k)
+    base = constructions.instantiate_pattern(pattern, args.t)
+    parts = constructions.pattern_parts(pattern, args.t)
+    lo, hi = parts[part - 1]
     adder = constructions.generate_sparse_adder(
         constructions.SparseAdderParams(s=args.s, c=args.c, t=hi - lo + 1, seed=args.seed))
     G = constructions.assemble_gstar(base, adder, range(lo, hi + 1))
+    k = args.k if args.kind == "t3" else None
     meta = constructions.construction_metadata(
-        meta_kind, k=k, t=args.t, s=args.s, c=args.c, seed=args.seed, parts=parts)
+        f"gstar_{args.kind}", k=k, t=args.t, s=args.s, c=args.c, seed=args.seed, parts=parts)
     return G, meta
 
 

@@ -32,13 +32,16 @@ __all__ = [
     "theorem1_pattern",
     "theorem1_parts",
     "build_theorem3_pattern",
+    "blow_up_pattern",
     "instantiate_pattern",
+    "pattern_edge_count",
     "pattern_part_sizes",
     "pattern_parts",
     "check_local_sparsity",
     "check_local_sparsity_naive",
     "generate_sparse_adder",
     "assemble_gstar",
+    "gstar_target",
     "construction_metadata",
 ]
 
@@ -163,8 +166,7 @@ def theorem1_pattern() -> PartitionPattern:
 def theorem1_parts(t: int) -> list[tuple[int, int]]:
     """Block boundaries of the three parts in build_theorem1_base(t)."""
     _require_mult_of_5(t)
-    a = 2 * t // 5
-    return [(1, a), (a + 1, 2 * a), (2 * a + 1, t)]
+    return pattern_parts(theorem1_pattern(), t)
 
 
 def _require_mult_of_5(t: int) -> None:
@@ -179,12 +181,7 @@ def build_theorem1_base(t: int) -> UniformHypergraph:
     from V2 and one from V3.  The count is exactly 2t^3/25 - 3t^2/25.
     """
     _require_mult_of_5(t)
-    (l1, h1), (l2, h2), (l3, h3) = theorem1_parts(t)
-    v1, v2, v3 = range(l1, h1 + 1), range(l2, h2 + 1), range(l3, h3 + 1)
-    edges = list(itertools.product(v1, v2, v3))
-    edges.extend((a, b, c) for a, b in itertools.combinations(v1, 2) for c in v2)
-    edges.extend((a, b, c) for a, b in itertools.combinations(v2, 2) for c in v3)
-    return UniformHypergraph(3, t, edges)
+    return instantiate_pattern(theorem1_pattern(), t)
 
 
 def build_theorem3_pattern(k: int) -> PartitionPattern:
@@ -216,36 +213,19 @@ def pattern_part_sizes(pattern: PartitionPattern, t: int) -> list[int]:
     floors = [math.floor(x) for x in scaled]
     remainders = [x - f for x, f in zip(scaled, floors)]
     deficit = t - sum(floors)
-    by_remainder = sorted(
-        range(pattern.num_parts),
-        key=lambda i: (_neg_key(remainders[i]), i),
-    )
+    by_remainder = sorted(range(pattern.num_parts), key=lambda i: (-remainders[i], i))
     sizes = list(floors)
     for i in by_remainder[:deficit]:
         sizes[i] += 1
     return sizes
 
 
-def _neg_key(x: ExactWeight):
-    # sort helper: descending exact value without leaving exact arithmetic
-    class _Key:
-        __slots__ = ("v",)
-
-        def __init__(self, v):
-            self.v = v
-
-        def __lt__(self, other):
-            return self.v > other.v
-
-        def __eq__(self, other):
-            return self.v == other.v
-
-    return _Key(x)
-
-
 def pattern_parts(pattern: PartitionPattern, t: int) -> list[tuple[int, int]]:
     """Block boundaries of the instantiated parts."""
-    sizes = pattern_part_sizes(pattern, t)
+    return _blocks(pattern_part_sizes(pattern, t))
+
+
+def _blocks(sizes: Sequence[int]) -> list[tuple[int, int]]:
     blocks, lo = [], 1
     for s in sizes:
         blocks.append((lo, lo + s - 1))
@@ -253,25 +233,68 @@ def pattern_parts(pattern: PartitionPattern, t: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def instantiate_pattern(pattern: PartitionPattern, t: int) -> UniformHypergraph:
-    """Expand every template over the rounded integer parts on t vertices."""
-    sizes = pattern_part_sizes(pattern, t)
-    blocks = pattern_parts(pattern, t)
-    members = [list(range(lo, hi + 1)) for lo, hi in blocks]
-    edges: list[tuple[int, ...]] = []
+def _demand(template: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(part, members needed) for each part the template names, in part order."""
+    return [(part, template.count(part)) for part in sorted(set(template))]
+
+
+def _require_fit(pattern: PartitionPattern, sizes: Sequence[int]) -> None:
     for template in pattern.templates:
-        mult: dict[int, int] = {}
-        for part in template:
-            mult[part] = mult.get(part, 0) + 1
-        for part, need in mult.items():
+        for part, need in _demand(template):
             if sizes[part - 1] < need:
                 raise ValueError(
                     f"part {part} has size {sizes[part - 1]}, template {template} needs {need}"
                 )
-        pools = [itertools.combinations(members[part - 1], need) for part, need in sorted(mult.items())]
-        for combo in itertools.product(*pools):
-            edges.append(tuple(v for group in combo for v in group))
-    return UniformHypergraph(pattern.r, t, edges)
+
+
+def blow_up_pattern(pattern: PartitionPattern, sizes: Sequence[int]) -> UniformHypergraph:
+    """Expand every template over consecutive parts of the given sizes; the
+    graph has sum(sizes) vertices, and a template naming a part more often
+    than the part has members contributes no edges."""
+    if len(sizes) != pattern.num_parts:
+        raise ValueError(f"{len(sizes)} part sizes for {pattern.num_parts} parts")
+    members = [range(lo, hi + 1) for lo, hi in _blocks(sizes)]
+    edges: list[tuple[int, ...]] = []
+    for template in pattern.templates:
+        pools = [itertools.combinations(members[part - 1], need)
+                 for part, need in _demand(template)]
+        edges.extend(sum(combo, ()) for combo in itertools.product(*pools))
+    return UniformHypergraph(pattern.r, sum(sizes), edges)
+
+
+def instantiate_pattern(pattern: PartitionPattern, t: int) -> UniformHypergraph:
+    """Expand every template over the rounded integer parts on t vertices;
+    raises when a part is too small for a template that names it."""
+    sizes = pattern_part_sizes(pattern, t)
+    _require_fit(pattern, sizes)
+    return blow_up_pattern(pattern, sizes)
+
+
+def pattern_edge_count(pattern: PartitionPattern, t: int) -> int:
+    """|E(instantiate_pattern(pattern, t))| without building it: the sum over
+    templates of the product of C(part size, multiplicity).  Raises the same
+    ValueError as instantiate_pattern when a part is too small."""
+    sizes = pattern_part_sizes(pattern, t)
+    _require_fit(pattern, sizes)
+    return sum(
+        math.prod(math.comb(sizes[part - 1], need) for part, need in _demand(template))
+        for template in pattern.templates
+    )
+
+
+def gstar_target(kind: str, t: int, k: int | None = None) -> tuple[PartitionPattern, int]:
+    """The pattern that G* blows up on t vertices and the part (1-based) that
+    receives the adder: part 1 of the 2/25 pattern (t a multiple of 5), or
+    the apex part of the alpha_k/6 pattern."""
+    if kind == "t1":
+        _require_mult_of_5(t)
+        return theorem1_pattern(), 1
+    if kind == "t3":
+        if k is None or k < 2:
+            raise ValueError("kind 't3' needs k >= 2")
+        pattern = build_theorem3_pattern(k)
+        return pattern, pattern.num_parts
+    raise ValueError(f"unknown kind {kind!r}, expected 't1' or 't3'")
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +328,10 @@ def check_local_sparsity(A: UniformHypergraph, s: int) -> SparsityCheck:
     """
     if s < A.r:
         raise ValueError(f"s must be >= r = {A.r}, got {s}")
-    max_edges = s - A.r + 2
-    if max_edges < 2 or A.m < 2:
+    # at s = r the condition is vacuous: r vertices hold at most one edge
+    if s == A.r or A.m < 2:
         return SparsityCheck(True, None)
+    max_edges = s - A.r + 2
 
     edges = A.edges
     touching: dict[int, set[int]] = {}

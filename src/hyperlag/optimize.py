@@ -282,8 +282,11 @@ def symmetry_reduce(G: UniformHypergraph) -> list[list[int]]:
     for v in range(1, G.n + 1):
         same = by_degree.setdefault(len(G.links[v]), [])
         for cls in same:
-            u = cls[0]
-            if not link_difference(G, u, v) and not link_difference(G, v, u):
+            # One direction suffices: an empty L(u\v) means swapping u for v
+            # maps the edges holding u but not v one-to-one into those holding
+            # v but not u, and equal degree makes that map onto, so L(v\u) is
+            # empty too.
+            if not link_difference(G, cls[0], v):
                 cls.append(v)
                 break
         else:

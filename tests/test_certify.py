@@ -13,7 +13,19 @@ from hyperlag.certify import (
     enumerate_profiles_and_bound,
     reduce_star,
 )
+from hyperlag import constructions
 from hyperlag.closedform import Surd, alpha_k
+from hyperlag.constructions import (
+    PartitionPattern,
+    SparseAdderParams,
+    assemble_gstar,
+    build_theorem1_base,
+    build_theorem3_pattern,
+    generate_sparse_adder,
+    instantiate_pattern,
+    pattern_parts,
+    theorem1_pattern,
+)
 from hyperlag.hypercore import UniformHypergraph
 from hyperlag.optimize import OptimizerConfig, maximize_lagrangian
 
@@ -140,6 +152,49 @@ def test_density_gain_t3_recipe_scale():
     assert (rep.deficit_achieved - F(0)).sign() > 0
 
 
+def _materialized_density_gain(kind, t, s, c, seed, k=None):
+    """Reference accounting that builds the base and G* and reads |E|."""
+    if kind == "t1":
+        base, target = build_theorem1_base(t), F(2, 25)
+        lo, hi = pattern_parts(theorem1_pattern(), t)[0]
+    else:
+        pattern = build_theorem3_pattern(k)
+        base, target = instantiate_pattern(pattern, t), alpha_k(k) / 6
+        lo, hi = pattern_parts(pattern, t)[-1]
+    adder = generate_sparse_adder(SparseAdderParams(s=s, c=c, t=hi - lo + 1, seed=seed))
+    gstar = assemble_gstar(base, adder, range(lo, hi + 1))
+    bound = F(gstar.m, t**3)
+    return {"base_edges": base.m, "adder_edges": gstar.m - base.m,
+            "bound": bound, "margin": bound - target}
+
+
+@pytest.mark.parametrize("kind,t,k,s,c,seed", [
+    ("t1", 25, None, 3, 1.0, 0),
+    ("t1", 50, None, 4, 0.15, 1),
+    ("t3", 60, 2, 3, 2.0, 3),
+    ("t3", 70, 3, 3, 1.0, 0),
+])
+def test_density_gain_counts_match_materialized_gstar(kind, t, k, s, c, seed):
+    rep = check_blowup_density_gain(kind, t, s=s, c=c, seed=seed, k=k)
+    ref = _materialized_density_gain(kind, t, s, c, seed, k)
+    got = {name: getattr(rep, name) for name in ref}
+    assert got == ref
+
+
+def test_density_gain_refuses_a_template_inside_the_target_part(monkeypatch):
+    real = build_theorem3_pattern(2)
+    apex = real.num_parts
+    inside = PartitionPattern(real.r, real.part_weights, real.templates + ((apex,) * 3,))
+    monkeypatch.setattr(constructions, "build_theorem3_pattern", lambda k: inside)
+    with pytest.raises(ValueError, match="inside the target part"):
+        check_blowup_density_gain("t3", 60, s=3, c=2.0, seed=3, k=2)
+    # the guard refuses exactly what assembling G* would refuse
+    lo, hi = pattern_parts(inside, 60)[-1]
+    adder = generate_sparse_adder(SparseAdderParams(s=3, c=2.0, t=hi - lo + 1, seed=3))
+    with pytest.raises(ValueError, match="already in the base"):
+        assemble_gstar(instantiate_pattern(inside, 60), adder, range(lo, hi + 1))
+
+
 def test_density_gain_rejects_bad_kind():
     with pytest.raises(ValueError):
         check_blowup_density_gain("t2", 25)
@@ -163,8 +218,8 @@ def test_profiles_t1():
 
 def test_profiles_t1_star_value():
     # profile (s, 0, 0) reduces to the star, whose optimum is 1/27
-    from hyperlag.certify import _t1_profile_graph
-    star = _t1_profile_graph((5, 0, 0))
+    from hyperlag.certify import _profile_graph
+    star = _profile_graph(theorem1_pattern(), 1, (5, 0, 0))
     value = maximize_lagrangian(star, OptimizerConfig(restarts=6, max_iters=400, seed=3)).value
     assert value == pytest.approx(1 / 27, abs=1e-8)
 
@@ -178,8 +233,8 @@ def test_profiles_t3_k2():
 
 def test_profiles_t3_all_singletons():
     # five singleton parts give a complete pattern slice on 5 vertices
-    from hyperlag.certify import _t3_profile_graph
-    G = _t3_profile_graph(2, (1, 1, 1, 1, 1))
+    from hyperlag.certify import _profile_graph
+    G = _profile_graph(build_theorem3_pattern(2), 5, (1, 1, 1, 1, 1))
     value = maximize_lagrangian(G, OptimizerConfig(restarts=6, max_iters=400, seed=3)).value
     assert value <= float(alpha_k(2)) / 6 + 1e-7
 

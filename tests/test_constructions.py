@@ -12,6 +12,7 @@ from hyperlag.constructions import (
     AdderGenerationError,
     PartitionPattern,
     SparseAdderParams,
+    SparsityCheck,
     assemble_gstar,
     build_b2k,
     build_theorem1_base,
@@ -21,6 +22,7 @@ from hyperlag.constructions import (
     construction_metadata,
     generate_sparse_adder,
     instantiate_pattern,
+    pattern_edge_count,
     pattern_part_sizes,
     pattern_parts,
     theorem1_parts,
@@ -142,6 +144,35 @@ def test_instantiated_pattern_edge_count():
     assert blocks[-1][1] == 60
 
 
+@pytest.mark.parametrize("t", range(10, 51))
+def test_pattern_edge_count_theorem1(t):
+    p = theorem1_pattern()
+    assert pattern_edge_count(p, t) == instantiate_pattern(p, t).m
+
+
+@pytest.mark.parametrize("k,ts", [(2, (13, 29, 41, 60, 77, 83)),
+                                  (3, (23, 37, 50, 70, 91))])
+def test_pattern_edge_count_theorem3(k, ts):
+    p = build_theorem3_pattern(k)
+    floors = set()
+    for t in ts:
+        assert pattern_edge_count(p, t) == instantiate_pattern(p, t).m
+        sizes = pattern_part_sizes(p, t)
+        floors.add(tuple(s - math.floor(w * t) for s, w in zip(sizes, p.part_weights)))
+    # the rounding hands the deficit to different parts across these t
+    assert len(floors) > 1
+
+
+def test_pattern_edge_count_rejects_undersized_parts():
+    p = build_theorem3_pattern(2)
+    for t in (5, 4):
+        with pytest.raises(ValueError) as counted:
+            pattern_edge_count(p, t)
+        with pytest.raises(ValueError) as built:
+            instantiate_pattern(p, t)
+        assert str(counted.value) == str(built.value)
+
+
 # ---------------------------------------------------------------------------
 # local sparsity
 # ---------------------------------------------------------------------------
@@ -174,6 +205,10 @@ def test_sparsity_trivial_cases():
     # s = r only rules out duplicate edges, which the type already forbids
     dense = UniformHypergraph(3, 5, itertools.combinations(range(1, 6), 3))
     assert check_local_sparsity(dense, 3).ok
+    for r in (2, 3, 4):
+        complete = UniformHypergraph(r, 7, itertools.combinations(range(1, 8), r))
+        assert (check_local_sparsity(complete, r) == check_local_sparsity_naive(complete, r)
+                == SparsityCheck(True, None))
     with pytest.raises(ValueError):
         check_local_sparsity(single, 2)
 

@@ -17,26 +17,25 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .closedform import (
-    ChainReport,
     RationalPolynomial,
     Surd,
     alpha_k,
     astar_weight,
-    exact_to_json,
     f_b2k,
     f_b2k_prime,
     theorem1_bound_gradient,
+    theorem1_bound_poly,
     theorem1_d0_critical_point,
     theorem1_d0_cubic_poly,
     theorem1_d0_peak_value,
     theorem3_bound,
     theorem3_bound_chain,
+    theorem3_bound_gradient,
     theorem3_c0,
     theorem3_t_poly,
     verify_theorem1_quartic_identity,
@@ -54,7 +53,9 @@ from .constructions import (
     theorem1_pattern,
 )
 from .hypercore import UniformHypergraph
-from .optimize import OptimizerConfig, iter_lattice, maximize_lagrangian, project_to_simplex
+from .optimize import _LATTICE_CAP, OptimizerConfig, _ascend, iter_lattice, maximize_lagrangian
+# unused here, but bench/test_bench.py checks that the tracer wraps this imported name
+from .optimize import project_to_simplex  # noqa: F401
 
 __all__ = [
     "CaseVerdict",
@@ -84,20 +85,6 @@ class CaseVerdict:
     tol: float = 0.0
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "case": self.case_name,
-            "bound_claimed": exact_to_json(self.bound_claimed)
-            if isinstance(self.bound_claimed, (Fraction, int, Surd))
-            else float(self.bound_claimed),
-            "bound_found": self.bound_found,
-            "method": self.method,
-            "pass": self.passed,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "tol": self.tol,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -107,16 +94,6 @@ class CertificateReport:
     profiles_checked: int
     overall: bool
     parameters: dict
-
-    def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "k": self.k,
-            "cases": [c.to_json() for c in self.cases],
-            "profiles_checked": self.profiles_checked,
-            "overall": self.overall,
-            "parameters": self.parameters,
-        }
 
 
 def reduce_star(M: UniformHypergraph, part: Sequence[int]) -> UniformHypergraph:
@@ -142,83 +119,49 @@ def reduce_star(M: UniformHypergraph, part: Sequence[int]) -> UniformHypergraph:
 # Grid + refinement machinery
 # ---------------------------------------------------------------------------
 
-def _grid_top_candidates(
-    fn: Callable[[np.ndarray], np.ndarray], dims: int, resolution: int, top: int,
-    cap: int | None = None,
-) -> tuple[float, np.ndarray]:
-    """Evaluate fn on every barycentric lattice point and keep the best rows."""
-    best_vals: np.ndarray | None = None
-    best_pts: np.ndarray | None = None
-    chunks = iter_lattice(dims, resolution) if cap is None \
-        else iter_lattice(dims, resolution, cap)
-    for chunk in chunks:
-        pts = chunk.astype(float) / resolution
-        vals = fn(pts)
-        take = min(top, vals.size)
-        idx = np.argpartition(vals, -take)[-take:]
-        if best_vals is None:
-            best_vals, best_pts = vals[idx], pts[idx]
-        else:
-            best_vals = np.concatenate([best_vals, vals[idx]])
-            best_pts = np.vstack([best_pts, pts[idx]])
-            keep = np.argpartition(best_vals, -top)[-top:] if best_vals.size > top else slice(None)
-            best_vals, best_pts = best_vals[keep], best_pts[keep]
-    order = np.argsort(best_vals)[::-1]
-    return float(best_vals[order[0]]), best_pts[order]
-
-
-def _refine(
-    value: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    iters: int,
-) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent on the simplex from a grid candidate."""
-    x = x0.copy()
-    fx = value(x)
-    for _ in range(iters):
-        g = gradient(x)
-        step, moved = 1.0, False
-        while step > 1e-14:
-            cand = project_to_simplex(x + step * g)
-            fc = value(cand)
-            if fc >= fx + 1e-4 * float(g @ (cand - x)):
-                if fc <= fx + 1e-17:
-                    return cand, fc
-                x, fx, moved = cand, fc, True
-                break
-            step /= 2.0
-        if not moved:
-            break
-    return x, fx
+def _require_grid(resolution: int) -> None:
+    if resolution < 1:
+        raise ValueError(f"grid_resolution must be >= 1, got {resolution}")
 
 
 def _grid_refine_max(
-    fn_np: Callable[[np.ndarray], np.ndarray],
-    grad: Callable[[np.ndarray], np.ndarray],
+    fn: Callable,
+    grad: Callable,
     dims: int,
     resolution: int,
     refine_iters: int,
     top: int,
-    cap: int | None = None,
+    cap: int = _LATTICE_CAP,
 ) -> tuple[float, np.ndarray]:
-    grid_best, candidates = _grid_top_candidates(fn_np, dims, resolution, top, cap=cap)
-    best_val, best_pt = grid_best, candidates[0]
-    scalar = lambda x: float(fn_np(x[None, :])[0])
+    """Maximize fn over the simplex: score every barycentric lattice point,
+    then run projected ascent from the ``top`` best until a step gains at
+    most 1e-17.
+
+    ``fn`` and ``grad`` take one argument per coordinate: numpy columns on
+    the lattice, floats during the ascent."""
+    best_vals, best_pts = np.empty(0), np.empty((0, dims))
+    for chunk in iter_lattice(dims, resolution, cap):
+        pts = chunk.astype(float) / resolution
+        vals = fn(*pts.T)
+        idx = np.argpartition(vals, -min(top, vals.size))[-top:]
+        best_vals = np.concatenate([best_vals, vals[idx]])
+        best_pts = np.vstack([best_pts, pts[idx]])
+        if best_vals.size > top:
+            keep = np.argpartition(best_vals, -top)[-top:]
+            best_vals, best_pts = best_vals[keep], best_pts[keep]
+    candidates = best_pts[np.argsort(best_vals)[::-1]]
+    best_val, best_pt = float(best_vals.max()), candidates[0]
     for pt in candidates:
-        x, fx = _refine(scalar, grad, pt, refine_iters)
+        x, fx, _ = _ascend(
+            lambda x: fn(*x.tolist()),
+            lambda x: np.array(grad(*x.tolist())),
+            pt,
+            refine_iters,
+            lambda x, fx, g, gain: gain <= 1e-17,
+        )
         if fx > best_val:
             best_val, best_pt = fx, x
     return best_val, best_pt
-
-
-def _t1_bound_np(p: np.ndarray) -> np.ndarray:
-    a, b, c, d = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
-    return (a * a / 4 + a * b + b * b / 2) * c + (a + b) * c * d + c * c * d / 2 + a * a / 4 * b
-
-
-def _t1_grad_np(x: np.ndarray) -> np.ndarray:
-    return np.asarray(theorem1_bound_gradient(*x), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +218,13 @@ def _case_a0() -> CaseVerdict:
 def _case_b0(resolution: int, refine_iters: int, top: int) -> CaseVerdict:
     # exact majorization: a^2 c/4 <= a^2 c/2 reduces this case to the a=0 case,
     # so 2/25 holds of record; the numeric search documents the actual gap
-    def fn(p: np.ndarray) -> np.ndarray:
-        a, c, d = p[:, 0], p[:, 1], p[:, 2]
-        return a * a * c / 4 + a * c * d + c * c * d / 2
+    def grad(a, c, d):
+        ga, _, gc, gd = theorem1_bound_gradient(a, 0.0, c, d)
+        return ga, gc, gd
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        a, c, d = x
-        return np.array([a * c / 2 + c * d, a * a / 4 + a * d + c * d, a * c + c * c / 2])
-
-    found, pt = _grid_refine_max(fn, grad, 3, resolution, refine_iters, top)
+    found, pt = _grid_refine_max(
+        lambda a, c, d: theorem1_bound_poly(a, 0.0, c, d), grad, 3, resolution, refine_iters, top
+    )
     gap = float(T1_CONSTANT) - found
     ok = gap >= 1e-3
     return CaseVerdict(
@@ -337,7 +278,9 @@ def _case_interior() -> CaseVerdict:
 
 
 def _case_t1_global(resolution: int, refine_iters: int, tol: float, top: int) -> CaseVerdict:
-    found, pt = _grid_refine_max(_t1_bound_np, _t1_grad_np, 4, resolution, refine_iters, top)
+    found, pt = _grid_refine_max(
+        theorem1_bound_poly, theorem1_bound_gradient, 4, resolution, refine_iters, top
+    )
     target = np.array([0.0, 0.4, 0.4, 0.2])
     close = float(np.abs(pt - target).max())
     ok = found <= float(T1_CONSTANT) + tol and close <= 1e-4
@@ -354,7 +297,6 @@ def certify_theorem1(
     tol: float = 1e-9,
     top: int = 100,
     profile_s: int | None = None,
-    optimizer_cfg: OptimizerConfig | None = None,
 ) -> CertificateReport:
     """Certify that the bound polynomial never exceeds 2/25 on the simplex.
 
@@ -363,6 +305,7 @@ def certify_theorem1(
     The global grid+refine search must land on 2/25 at (0, 0.4, 0.4, 0.2).
     Optionally also optimizes every part-size profile up to ``profile_s``.
     """
+    _require_grid(grid_resolution)
     cases = [
         _case_c0(),
         _case_a0(),
@@ -371,27 +314,35 @@ def certify_theorem1(
         _case_interior(),
         _case_t1_global(grid_resolution, refine_iters, tol, top),
     ]
+    return _report("t1", None, cases, T1_CONSTANT, profile_s, {
+        "grid_resolution": grid_resolution,
+        "refine_iters": refine_iters,
+        "tol": tol,
+        "top": top,
+        "profile_s": profile_s,
+    })
+
+
+def _report(
+    theorem: str, k: int | None, cases: list, constant, profile_s: int | None, parameters: dict
+) -> CertificateReport:
+    """Append the part-size profile case when ``profile_s`` is given, then
+    collect the verdicts into the report."""
     profiles_checked = 0
     if profile_s is not None:
-        prof = enumerate_profiles_and_bound("t1", profile_s, cfg=optimizer_cfg)
+        prof = enumerate_profiles_and_bound(theorem, profile_s, k=k)
         profiles_checked = prof.profiles_checked
         cases.append(CaseVerdict(
-            "profiles", T1_CONSTANT, prof.worst_value, "sampled", prof.passed,
+            "profiles", constant, prof.worst_value, "sampled", prof.passed,
             tol=prof.tol, detail=f"worst profile {prof.worst_profile}",
         ))
     return CertificateReport(
-        theorem="t1",
-        k=None,
+        theorem=theorem,
+        k=k,
         cases=tuple(cases),
         profiles_checked=profiles_checked,
         overall=all(c.passed for c in cases),
-        parameters={
-            "grid_resolution": grid_resolution,
-            "refine_iters": refine_iters,
-            "tol": tol,
-            "top": top,
-            "profile_s": profile_s,
-        },
+        parameters=parameters,
     )
 
 
@@ -421,17 +372,11 @@ def _case_t3_early(k: int) -> CaseVerdict:
     and the sign of the derivative at the interval ends.
     """
     t_poly = theorem3_t_poly(k)
-    ok = True
-    for w, a, b in _rational_simplex_points(25):
-        lhs = theorem3_bound(w, a, k) + (a * a / 4) * (w - b)
-        rhs = t_poly(w) + w * (a + b) ** 2 / 2
-        if lhs != rhs:
-            ok = False
-            break
     astar = astar_weight(k)
     target = alpha_k(k)
     ok = (
-        ok
+        all(theorem3_bound(w, a, k) + (a * a / 4) * (w - b) == t_poly(w) + w * (a + b) ** 2 / 2
+            for w, a, b in _rational_simplex_points(25))
         and f_b2k_prime(Fraction(0), k) == Fraction(1, 2)
         and f_b2k_prime(Fraction(1), k) < 0
         and f_b2k_prime(astar, k) == Surd(Fraction(0))
@@ -445,38 +390,13 @@ def _case_t3_early(k: int) -> CaseVerdict:
     )
 
 
-def _case_t3_chain(k: int) -> tuple[CaseVerdict, ChainReport]:
+def _case_t3_chain(k: int) -> CaseVerdict:
     chain = theorem3_bound_chain(k)
     detail = "all chain steps hold" if chain.ok else f"failing steps: {chain.failing()}"
     return CaseVerdict(
         "monotone-chain", alpha_k(k) / 6, float(alpha_k(k)) / 6, "exact", chain.ok,
         detail=detail,
-    ), chain
-
-
-def _t3_bound_np(k: int) -> Callable[[np.ndarray], np.ndarray]:
-    c3 = float(Fraction(comb(2 * k, 3), (2 * k) ** 3))
-    c2 = float(Fraction(comb(2 * k, 2), (2 * k) ** 2))
-
-    def fn(p: np.ndarray) -> np.ndarray:
-        w, a, b = p[:, 0], p[:, 1], p[:, 2]
-        return c3 * w**3 + c2 * w * w * (1 - w) + w * (a * a / 4 + a * b + b * b / 2) + a * a * b / 4
-
-    return fn
-
-
-def _t3_grad_np(k: int) -> Callable[[np.ndarray], np.ndarray]:
-    c3 = float(Fraction(comb(2 * k, 3), (2 * k) ** 3))
-    c2 = float(Fraction(comb(2 * k, 2), (2 * k) ** 2))
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        w, a, b = x
-        gw = 3 * c3 * w * w + c2 * (2 * w - 3 * w * w) + (a * a / 4 + a * b + b * b / 2)
-        ga = w * (a / 2 + b) + a * b / 2
-        gb = w * (a + b) + a * a / 4
-        return np.array([gw, ga, gb])
-
-    return grad
+    )
 
 
 def certify_theorem3(
@@ -486,17 +406,16 @@ def certify_theorem3(
     refine_iters: int = 500,
     top: int = 100,
     profile_s: int | None = None,
-    optimizer_cfg: OptimizerConfig | None = None,
 ) -> CertificateReport:
     """Certify that the (2k+1)-part bound function stays at or below alpha_k/6."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    early = _case_t3_early(k)
-    chain_case, _ = _case_t3_chain(k)
-
+    _require_grid(grid_resolution)
     target = alpha_k(k) / 6
     found, pt = _grid_refine_max(
-        _t3_bound_np(k), _t3_grad_np(k), 3, grid_resolution, refine_iters, top
+        lambda w, a, b: theorem3_bound(w, a, k),
+        lambda w, a, b: (*theorem3_bound_gradient(w, a, k), 0.0),
+        3, grid_resolution, refine_iters, top,
     )
     global_ok = found <= float(target) + tol
     global_case = CaseVerdict(
@@ -505,30 +424,15 @@ def certify_theorem3(
         detail=f"peak over (w, a) at w={pt[0]:.6f}, a={pt[1]:.6f}; target {float(target):.9f}",
     )
 
-    cases = [early, chain_case, global_case]
-    profiles_checked = 0
-    if profile_s is not None:
-        prof = enumerate_profiles_and_bound("t3", profile_s, k=k, cfg=optimizer_cfg)
-        profiles_checked = prof.profiles_checked
-        cases.append(CaseVerdict(
-            "profiles", target, prof.worst_value, "sampled", prof.passed,
-            tol=prof.tol, detail=f"worst profile {prof.worst_profile}",
-        ))
-    return CertificateReport(
-        theorem="t3",
-        k=k,
-        cases=tuple(cases),
-        profiles_checked=profiles_checked,
-        overall=all(c.passed for c in cases),
-        parameters={
-            "k": k,
-            "grid_resolution": grid_resolution,
-            "refine_iters": refine_iters,
-            "tol": tol,
-            "top": top,
-            "profile_s": profile_s,
-        },
-    )
+    cases = [_case_t3_early(k), _case_t3_chain(k), global_case]
+    return _report("t3", k, cases, target, profile_s, {
+        "k": k,
+        "grid_resolution": grid_resolution,
+        "refine_iters": refine_iters,
+        "tol": tol,
+        "top": top,
+        "profile_s": profile_s,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -552,25 +456,6 @@ class DensityGainReport:
     deficit_achieved: object    # target * t^3 - base_edges, exact
     deficit_ideal: object       # the t^2 shortfall coefficient times t^2
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "t": self.t,
-            "s": self.s,
-            "c": self.c,
-            "seed": self.seed,
-            "target": exact_to_json(self.target),
-            "base_edges": self.base_edges,
-            "adder_edges": self.adder_edges,
-            "recipe_adder_edges": self.recipe_adder_edges,
-            "bound": exact_to_json(self.bound),
-            "margin": exact_to_json(self.margin),
-            "deficit_achieved": exact_to_json(self.deficit_achieved),
-            "deficit_ideal": exact_to_json(self.deficit_ideal),
-            "pass": self.passed,
-        }
 
 
 def check_blowup_density_gain(
@@ -654,20 +539,6 @@ class ProfilesReport:
     worst_profile: tuple[int, ...] | None
     violations: tuple[tuple[tuple[int, ...], float], ...]
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "s": self.s,
-            "constant": self.constant,
-            "tol": self.tol,
-            "profiles_checked": self.profiles_checked,
-            "worst_value": self.worst_value,
-            "worst_profile": list(self.worst_profile) if self.worst_profile else None,
-            "violations": [[list(p), v] for p, v in self.violations],
-            "pass": self.passed,
-        }
 
 
 def _profile_graph(

@@ -54,7 +54,7 @@ def cmd_lagrangian(args) -> int:
         _say(f"cannot read {args.path}: {exc}")
         return EXIT_INPUT
     result = optimize.maximize_lagrangian(G, _optimizer_config(args))
-    payload = result.to_json()
+    payload = closedform.to_json(result)
     payload["config"] = {
         "seed": args.seed, "restarts": args.restarts,
         "iters": args.iters, "tol": args.tol, "threads": args.threads,
@@ -64,8 +64,18 @@ def cmd_lagrangian(args) -> int:
     return EXIT_OK
 
 
+# the options each family cannot do without
+_CONSTRUCT_NEEDS = {
+    "b2k": ("k", "n"), "theorem1": ("t",), "theorem3": ("k", "t"), "sparse": ("t",), "gstar": ("t",),
+}
+
+
 def cmd_construct(args) -> int:
     kind = args.family
+    missing = [f"--{name}" for name in _CONSTRUCT_NEEDS[kind] if getattr(args, name) is None]
+    if missing:
+        _say(f"construct {kind} needs {' and '.join(missing)}")
+        return EXIT_INPUT
     try:
         if kind == "b2k":
             G = constructions.build_b2k(args.k, args.n)
@@ -137,25 +147,24 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.theorem == "t1":
-        report = certify.certify_theorem1(
-            grid_resolution=args.grid,
-            refine_iters=args.refine_iters,
-            tol=args.tol,
-            profile_s=args.profiles,
-        )
-    else:
-        if args.k is None:
-            _say("certify t3 needs --k")
-            return EXIT_INPUT
-        report = certify.certify_theorem3(
-            args.k,
-            grid_resolution=args.grid,
-            tol=args.tol,
-            refine_iters=args.refine_iters,
-            profile_s=args.profiles,
-        )
-    _emit(report.to_json(), args.out)
+    if args.theorem == "t3" and args.k is None:
+        _say("certify t3 needs --k")
+        return EXIT_INPUT
+    options = {
+        "grid_resolution": args.grid,
+        "refine_iters": args.refine_iters,
+        "tol": args.tol,
+        "profile_s": args.profiles,
+    }
+    try:
+        if args.theorem == "t1":
+            report = certify.certify_theorem1(**options)
+        else:
+            report = certify.certify_theorem3(args.k, **options)
+    except ValueError as exc:
+        _say(f"invalid parameters: {exc}")
+        return EXIT_INPUT
+    _emit(closedform.to_json(report), args.out)
     for case in report.cases:
         _say(f"[{'PASS' if case.passed else 'FAIL'}] {case.case_name}: "
              f"found {case.bound_found:.12f} ({case.method})")
@@ -173,7 +182,7 @@ def cmd_density_gain(args) -> int:
     except ValueError as exc:
         _say(f"invalid parameters: {exc}")
         return EXIT_INPUT
-    _emit(report.to_json(), args.out)
+    _emit(closedform.to_json(report), args.out)
     _say(f"bound {float(report.bound):.9f} vs target {float(report.target):.9f} "
          f"-> {'PASS' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_CERT_FAIL

@@ -11,16 +11,24 @@ the alpha_k/6 certificate.
 
 Everything is pure and exact.  Floats appear only when a caller asks for
 them explicitly; every comparison and identity on the exact path is decided
-in integer arithmetic.
+in integer arithmetic.  The bound polynomials take Fractions, floats or
+numpy columns alike, so the numeric searches evaluate the same formulas the
+exact cases prove.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import comb, isqrt
 from typing import Union
+
+import numpy as np
+
+from .hypercore import WeightVector
 
 Rational = Fraction
 
@@ -39,6 +47,7 @@ __all__ = [
     "is_non_square_4k_minus_1",
     "theorem1_bound_poly",
     "theorem1_bound_gradient",
+    "theorem3_bound_gradient",
     "theorem1_d0_cubic",
     "theorem1_d0_cubic_poly",
     "theorem1_d0_critical_point",
@@ -55,6 +64,7 @@ __all__ = [
     "ChainStep",
     "ChainReport",
     "exact_to_json",
+    "to_json",
 ]
 
 
@@ -271,13 +281,35 @@ def exact_to_json(x) -> dict:
     }
 
 
+_JSON_KEYS = {"case_name": "case", "passed": "pass"}
+
+
+def to_json(obj):
+    """JSON-ready form of a report: a dataclass becomes a dict in field order
+    (``case_name`` and ``passed`` are written as ``case`` and ``pass``), a
+    WeightVector its weights, a Fraction or Surd goes through exact_to_json,
+    and tuples become lists."""
+    if isinstance(obj, WeightVector):
+        return list(obj.weights)
+    if isinstance(obj, (Fraction, Surd)):
+        return exact_to_json(obj)
+    if dataclasses.is_dataclass(obj):
+        return {_JSON_KEYS.get(f.name, f.name): to_json(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {key: to_json(value) for key, value in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [to_json(value) for value in obj]
+    return obj
+
+
 @dataclass(frozen=True)
 class RationalPolynomial:
     """Dense univariate polynomial over the rationals, coefficients low-to-high.
 
     The zero polynomial is the empty coefficient tuple; otherwise the leading
-    coefficient is nonzero.  Evaluation is generic Horner, so it works on
-    floats, Fractions and Surds alike.
+    coefficient is nonzero.  Evaluation is Horner's rule, exact on Fractions
+    and Surds; on a float or a numpy array it runs on float coefficients.
     """
 
     coeffs: tuple[Fraction, ...] = ()
@@ -350,9 +382,14 @@ class RationalPolynomial:
             out = out * self
         return out
 
+    @cached_property
+    def _float_coeffs(self) -> tuple[float, ...]:
+        return tuple(float(c) for c in self.coeffs)
+
     def __call__(self, x):
+        coeffs = self._float_coeffs if isinstance(x, (float, np.ndarray)) else self.coeffs
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(coeffs):
             acc = acc * x + c
         return acc
 
@@ -472,18 +509,29 @@ def is_non_square_4k_minus_1(k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _check_simplex(values, label: str) -> None:
-    floats = [float(v) for v in values]
-    if min(floats) < -1e-12:
-        raise ValueError(f"{label}: negative coordinate {min(floats)}")
-    if abs(sum(floats) - 1.0) > 1e-12:
-        raise ValueError(f"{label}: coordinates sum to {sum(floats)}, not 1")
+    """Reject a point off the standard simplex (tolerance 1e-12).  The
+    coordinates are numbers, or numpy columns holding one point per row."""
+    if any(isinstance(v, np.ndarray) for v in values):
+        low = float(min(np.min(v) for v in values))
+        sums = np.zeros(np.broadcast(*values).shape)
+        for v in values:
+            sums += v  # in place, so the check holds one extra column
+        total = float(max(sums.min(), sums.max(), key=lambda s: abs(s - 1.0)))
+    else:
+        floats = [float(v) for v in values]
+        low, total = min(floats), sum(floats)
+    if low < -1e-12:
+        raise ValueError(f"{label}: negative coordinate {low}")
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"{label}: coordinates sum to {total}, not 1")
 
 
 def theorem1_bound_poly(a, b, c, d):
     """Bound polynomial (a^2/4 + ab + b^2/2) c + (a+b) c d + c^2 d / 2 + a^2 b / 4.
 
     Requires (a, b, c, d) on the standard simplex (tolerance 1e-12); generic
-    over number type, so exact on Fractions.
+    over number type, so exact on Fractions, and on numpy columns it checks
+    and evaluates one point per row.
     """
     _check_simplex((a, b, c, d), "theorem1_bound_poly")
     return (a * a / 4 + a * b + b * b / 2) * c + (a + b) * c * d + c * c * d / 2 + a * a / 4 * b
@@ -577,12 +625,29 @@ def theorem3_bound(w, a, k: int):
 
         (w/2k)^3 C(2k,3) + (w/2k)^2 C(2k,2) (1-w)
             + w (a^2/4 + ab + b^2/2) + a^2 b / 4
+
+    Generic over number type: exact on Fractions, elementwise on numpy columns.
     """
     b = 1 - w - a
     t = theorem3_t_poly(k)(w)
     return t + w * (a * a / 4 + a * b + b * b / 2) + a * a / 4 * b
 
 
+def theorem3_bound_gradient(w, a, k: int):
+    """Partial derivatives of ``theorem3_bound`` in w and a, with b = 1 - w - a
+    eliminated: each is the three-variable partial minus the b-partial."""
+    b = 1 - w - a
+    gw = _theorem3_t_prime_poly(k)(w) + a * b + b * b / 2 - w * (a + b)
+    ga = a * (b - w) / 2 - a * a / 4
+    return gw, ga
+
+
+@lru_cache(maxsize=None)
+def _theorem3_t_prime_poly(k: int) -> RationalPolynomial:
+    return theorem3_t_poly(k).derivative()
+
+
+@lru_cache(maxsize=None)
 def theorem3_t_poly(k: int) -> RationalPolynomial:
     """Collapsed first-block contribution (w/2k)^3 C(2k,3) + (w/2k)^2 C(2k,2)(1-w)."""
     if k < 1:
@@ -648,13 +713,6 @@ class ChainReport:
 
     def failing(self) -> list[str]:
         return [s.name for s in self.steps if not s.ok]
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "ok": self.ok,
-            "steps": [{"name": s.name, "ok": s.ok, "detail": s.detail} for s in self.steps],
-        }
 
 
 def theorem3_bound_chain(k: int, samples: int = 10_000) -> ChainReport:
@@ -722,15 +780,8 @@ def theorem3_bound_chain(k: int, samples: int = 10_000) -> ChainReport:
 
     # (iv) dense float sample of monotonicity
     g = theorem3_g_poly(k)
-    cs = [float(c) for c in g.coeffs]
-    prev, ok_iv = None, True
-    for i in range(samples + 1):
-        x = 0.5 * i / samples
-        val = ((cs[3] * x + cs[2]) * x + cs[1]) * x + cs[0]
-        if prev is not None and val < prev - 1e-15:
-            ok_iv = False
-            break
-        prev = val
+    vals = g(0.5 * np.arange(samples + 1) / samples)
+    ok_iv = bool(np.all(vals[1:] >= vals[:-1] - 1e-15))
     steps.append(ChainStep("sampled-monotone", ok_iv, f"{samples + 1} points on [0, 1/2]"))
 
     # (v) the chain terminus at w = 1/2

@@ -41,17 +41,16 @@ _ARMIJO = 1e-4
 class OptimizerConfig:
     """Knobs for the multi-start ascent.
 
-    ``step_rule`` is either "backtracking" (halving from 1.0 with an Armijo
-    test) or "fixed:<eta>" for a constant step.  ``grid_resolution`` only
-    feeds the lattice oracle.
+    ``restarts`` starting points are each ascended for at most ``max_iters``
+    Armijo steps, until the KKT residual is within ``tolerance``.  ``seed``
+    fixes the Dirichlet starting points; ``threads`` > 1 runs the restarts on
+    a thread pool without changing the result.
     """
 
     restarts: int = 12
     max_iters: int = 500
-    step_rule: str = "backtracking"
     tolerance: float = 1e-9
     seed: int = 0
-    grid_resolution: int = 30
     threads: int = 1
 
     def __post_init__(self):
@@ -59,15 +58,6 @@ class OptimizerConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.grid_resolution < 1:
-            raise ValueError(f"grid_resolution must be >= 1, got {self.grid_resolution}")
-        if self.step_rule != "backtracking" and not self.step_rule.startswith("fixed:"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
-
-    def fixed_step(self) -> float | None:
-        if self.step_rule.startswith("fixed:"):
-            return float(self.step_rule.split(":", 1)[1])
-        return None
 
 
 @dataclass(frozen=True)
@@ -81,15 +71,6 @@ class StationarityReport:
     tol: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "residual": self.residual,
-            "r_lambda": self.r_lambda,
-            "tol": self.tol,
-            "pass": self.passed,
-            "per_coordinate": list(self.per_coordinate),
-        }
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -99,16 +80,6 @@ class OptimizationResult:
     stationarity_residual: float
     starts_converged: int
     converged: bool  # the stationarity residual at argmax is within tolerance
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "argmax": list(self.argmax.weights),
-            "support": list(self.support),
-            "stationarity_residual": self.stationarity_residual,
-            "starts_converged": self.starts_converged,
-            "converged": self.converged,
-        }
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -127,9 +98,8 @@ def _edge_array(G: UniformHypergraph) -> np.ndarray:
     return np.asarray(G.edges, dtype=np.int64) - 1
 
 
-def _value_grad(E: np.ndarray, x: np.ndarray, n: int):
+def _gradient(E: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     X = x[E]
-    lam = float(X.prod(axis=1).sum())
     grad = np.zeros(n)
     r = E.shape[1]
     for c in range(r):
@@ -138,7 +108,7 @@ def _value_grad(E: np.ndarray, x: np.ndarray, n: int):
             if c2 != c:
                 others *= X[:, c2]
         np.add.at(grad, E[:, c], others)
-    return lam, grad
+    return grad
 
 
 def _kkt_residual(x: np.ndarray, grad: np.ndarray, lam: float, r: int) -> float:
@@ -152,35 +122,31 @@ def _kkt_residual(x: np.ndarray, grad: np.ndarray, lam: float, r: int) -> float:
     return res
 
 
-def _ascend(E: np.ndarray, n: int, r: int, x0: np.ndarray, cfg: OptimizerConfig):
-    x = x0.copy()
-    fixed = cfg.fixed_step()
-    lam, grad = _value_grad(E, x, n)
-    converged = False
-    for _ in range(cfg.max_iters):
-        if _kkt_residual(x, grad, lam, r) <= cfg.tolerance:
-            converged = True
-            break
-        if fixed is not None:
-            x = project_to_simplex(x + fixed * grad)
-            lam, grad = _value_grad(E, x, n)
-            continue
-        step, moved = 1.0, False
+def _ascend(value, gradient, x0: np.ndarray, max_iters: int, done):
+    """Projected gradient ascent on the simplex from x0.
+
+    Each step halves a trial step from 1.0 down to 1e-13 until the Armijo
+    test accepts the projected point.  ``done(x, fx, g, gain)`` is the
+    caller's stop rule, asked before every step; ``gain`` is what the last
+    accepted step added (inf before the first).  Returns (x, value, done)
+    at the stop, when the line search stalls or after ``max_iters`` steps.
+    """
+    x, fx, g, gain = x0, value(x0), gradient(x0), np.inf
+    for _ in range(max_iters):
+        if done(x, fx, g, gain):
+            return x, fx, True
+        step = 1.0
         while step > 1e-13:
-            cand = project_to_simplex(x + step * grad)
-            cand_lam = float(cand[E].prod(axis=1).sum())
-            if cand_lam >= lam + _ARMIJO * float(grad @ (cand - x)):
-                x, lam = cand, cand_lam
-                _, grad = _value_grad(E, x, n)
-                moved = True
+            cand = project_to_simplex(x + step * g)
+            fc = value(cand)
+            if fc >= fx + _ARMIJO * float(g @ (cand - x)):
                 break
             step /= 2.0
-        if not moved:
-            converged = _kkt_residual(x, grad, lam, r) <= cfg.tolerance
+        else:
             break
-    else:
-        converged = _kkt_residual(x, grad, lam, r) <= cfg.tolerance
-    return x, lam, converged
+        x, fx, gain = cand, fc, fc - fx
+        g = gradient(x)
+    return x, fx, done(x, fx, g, gain)
 
 
 def _starting_points(G: UniformHypergraph, cfg: OptimizerConfig) -> list[np.ndarray]:
@@ -217,12 +183,22 @@ def maximize_lagrangian(
         return OptimizationResult(0.0, wv, tuple(range(1, G.n + 1)), 0.0, cfg.restarts, True)
 
     E = _edge_array(G)
+
+    def ascend(x0):
+        return _ascend(
+            lambda x: float(x[E].prod(axis=1).sum()),
+            lambda x: _gradient(E, x, G.n),
+            x0,
+            cfg.max_iters,
+            lambda x, fx, g, gain: _kkt_residual(x, g, fx, G.r) <= cfg.tolerance,
+        )
+
     starts = _starting_points(G, cfg)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            runs = list(pool.map(lambda s: _ascend(E, G.n, G.r, s, cfg), starts))
+            runs = list(pool.map(ascend, starts))
     else:
-        runs = [_ascend(E, G.n, G.r, s, cfg) for s in starts]
+        runs = [ascend(s) for s in starts]
 
     best_lam = max(lam for _, lam, _ in runs)
     candidates = [(x, lam) for x, lam, _ in runs if lam >= best_lam - 1e-12]
@@ -250,7 +226,7 @@ def verify_stationarity(G: UniformHypergraph, x, tol: float) -> StationarityRepo
     """
     w = x.weights if isinstance(x, WeightVector) else tuple(float(v) for v in x)
     lam = float(lagrangian_value(G, w))
-    grad = lagrangian_gradient_float(G, w)
+    grad = _gradient(_edge_array(G), np.asarray(w, dtype=float), G.n).tolist()
     target = G.r * lam
     per = []
     for wi, gi in zip(w, grad):
@@ -260,15 +236,6 @@ def verify_stationarity(G: UniformHypergraph, x, tol: float) -> StationarityRepo
             per.append(max(gi - target, 0.0))
     residual = max(per, default=0.0)
     return StationarityReport(residual, tuple(per), target, tol, residual <= tol)
-
-
-def lagrangian_gradient_float(G: UniformHypergraph, w) -> list[float]:
-    """Float gradient via the vectorized path; matches hypercore entry-for-entry."""
-    if G.m == 0:
-        return [0.0] * G.n
-    E = _edge_array(G)
-    _, grad = _value_grad(E, np.asarray(w, dtype=float), G.n)
-    return [float(g) for g in grad]
 
 
 def symmetry_reduce(G: UniformHypergraph) -> list[list[int]]:

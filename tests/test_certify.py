@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from hyperlag.certify import (
+    CaseVerdict,
     certify_theorem1,
     certify_theorem3,
     check_blowup_density_gain,
@@ -14,7 +15,7 @@ from hyperlag.certify import (
     reduce_star,
 )
 from hyperlag import constructions
-from hyperlag.closedform import Surd, alpha_k
+from hyperlag.closedform import Surd, alpha_k, exact_to_json, to_json
 from hyperlag.constructions import (
     PartitionPattern,
     SparseAdderParams,
@@ -87,8 +88,20 @@ def test_certify_theorem1_quick():
     assert by_name["c=0"].bound_found == pytest.approx(1 / 27)
     assert by_name["d=0"].bound_found < 0.076
     assert by_name["b=0"].bound_found < 0.08 - 1e-3
-    blob = rep.to_json()
+    blob = to_json(rep)
     assert blob["overall"] and blob["theorem"] == "t1"
+
+
+def test_report_json_renames_and_encodes_fields():
+    verdict = CaseVerdict("a=0", F(2, 25), 0.08, "exact", True, witness=(0.0, 0.4, 0.4, 0.2))
+    blob = to_json(verdict)
+    assert list(blob) == ["case", "bound_claimed", "bound_found", "method", "pass",
+                          "witness", "tol", "detail"]
+    assert blob["bound_claimed"] == exact_to_json(F(2, 25))
+    assert blob["witness"] == [0.0, 0.4, 0.4, 0.2]
+    result = maximize_lagrangian(UniformHypergraph(3, 3, [(1, 2, 3)]))
+    assert to_json(result)["argmax"] == list(result.argmax.weights)
+    assert to_json(result)["support"] == [1, 2, 3]
 
 
 def test_certify_theorem1_coarse_grid_fails():
@@ -128,7 +141,7 @@ def test_density_gain_t1_exact_values():
     assert rep.margin == F(1, 625)
     assert rep.deficit_achieved == rep.deficit_ideal == F(3 * 625, 25)
     assert rep.passed
-    blob = rep.to_json()
+    blob = to_json(rep)
     assert blob["pass"] and blob["bound"]["p"] == "51/625"
 
 
@@ -240,8 +253,10 @@ def test_profiles_t3_all_singletons():
 
 
 def test_grid_search_unaffected_by_chunking():
-    from hyperlag.certify import _grid_refine_max, _t1_bound_np, _t1_grad_np
+    from hyperlag.certify import _grid_refine_max
+    from hyperlag.closedform import theorem1_bound_gradient, theorem1_bound_poly
 
-    whole = _grid_refine_max(_t1_bound_np, _t1_grad_np, 4, 24, 50, 20)
-    chunked = _grid_refine_max(_t1_bound_np, _t1_grad_np, 4, 24, 50, 20, cap=500)
+    fn, grad = theorem1_bound_poly, theorem1_bound_gradient
+    whole = _grid_refine_max(fn, grad, 4, 24, 50, 20)
+    chunked = _grid_refine_max(fn, grad, 4, 24, 50, 20, cap=500)
     assert whole[0] == pytest.approx(chunked[0], abs=1e-12)

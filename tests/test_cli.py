@@ -96,6 +96,26 @@ def test_certify_t3_requires_k(capsys):
     assert code == 1 and "--k" in err
 
 
+@pytest.mark.parametrize("argv, problem", [
+    (("construct", "theorem1"), "--t"),
+    (("construct", "theorem3", "--k", "2"), "--t"),
+    (("construct", "gstar"), "--t"),
+    (("construct", "sparse"), "--t"),
+    (("construct", "b2k", "--n", "6"), "--k"),
+    (("construct", "theorem3", "--t", "40"), "--k"),
+    (("construct", "b2k", "--k", "2"), "--n"),
+    (("certify", "t3", "--k", "1"), "k must be >= 2"),
+    (("certify", "t1", "--profiles", "2", "--grid", "4", "--refine-iters", "1"), "profile budget"),
+    (("certify", "t1", "--grid", "0"), "grid_resolution must be >= 1"),
+])
+def test_input_errors_exit_1(capsys, tmp_path, argv, problem):
+    if argv[0] == "construct":
+        argv += ("--out", str(tmp_path / "g.txt"))
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1 and problem in err and stdout == ""
+    assert not (tmp_path / "g.txt").exists()
+
+
 def test_density_gain_t1(capsys):
     code, stdout, _ = run(capsys, "density-gain", "--kind", "t1", "--t", "25")
     assert code == 0

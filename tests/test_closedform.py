@@ -1,12 +1,15 @@
 """Exact arithmetic layer: surds, polynomials, and the closed-form formulas."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hyperlag import closedform
 from hyperlag.closedform import (
     RationalPolynomial,
     Surd,
@@ -20,11 +23,14 @@ from hyperlag.closedform import (
     f_b2k_prime_poly,
     is_non_square_4k_minus_1,
     square_free_split,
+    theorem1_bound_gradient,
     theorem1_bound_poly,
     theorem1_d0_critical_point,
     theorem1_d0_cubic,
     theorem1_d0_peak_value,
+    theorem3_bound,
     theorem3_bound_chain,
+    theorem3_bound_gradient,
     theorem3_cubic_part_poly,
     theorem3_g_poly,
     theorem3_gprime_poly,
@@ -185,6 +191,65 @@ def test_bound_poly_rejects_off_simplex():
         theorem1_bound_poly(0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         theorem1_bound_poly(-0.2, 0.4, 0.4, 0.4)
+
+
+def simplex_lattice(dims, N=12):
+    """Every point (i_1/N, ..., i_dims/N) of the simplex, as Fractions."""
+    return [tuple(F(i, N) for i in combo)
+            for combo in itertools.product(range(N + 1), repeat=dims) if sum(combo) == N]
+
+
+def exact_derivative(f, h=F(1, 7)):
+    """f'(0) of a polynomial of degree <= 4 from central differences: the
+    Richardson step cancels the h^2 term, the only error term up to degree 4."""
+    def central(h):
+        return (f(h) - f(-h)) / (2 * h)
+    return (4 * central(h / 2) - central(h)) / 3
+
+
+def test_bound_polynomials_on_numpy_columns_match_exact_values():
+    pts = simplex_lattice(4)
+    got = theorem1_bound_poly(*np.array(pts, dtype=float).T)
+    assert got.dtype == np.float64
+    want = np.array([float(theorem1_bound_poly(*p)) for p in pts])
+    assert np.abs(got - want).max() <= 1e-15
+    pts = simplex_lattice(3)
+    w, a, _ = np.array(pts, dtype=float).T
+    for k in (2, 3, 5):
+        got = theorem3_bound(w, a, k)
+        assert got.dtype == np.float64
+        want = np.array([float(theorem3_bound(pw, pa, k)) for pw, pa, _ in pts])
+        assert np.abs(got - want).max() <= 1e-15
+
+
+def test_bound_gradients_match_exact_central_differences(monkeypatch):
+    # the 2/25 polynomial is defined on all of R^4; lift the simplex check to
+    # step along single coordinates
+    monkeypatch.setattr(closedform, "_check_simplex", lambda values, label: None)
+    for p in simplex_lattice(4):
+        grad = theorem1_bound_gradient(*p)
+        for i in range(4):
+            def along(h, i=i):
+                return theorem1_bound_poly(*(x + h if j == i else x for j, x in enumerate(p)))
+            assert exact_derivative(along) == grad[i]
+    for k in (2, 3):
+        for w, a, _ in simplex_lattice(3):
+            gw, ga = theorem3_bound_gradient(w, a, k)
+            assert exact_derivative(lambda h: theorem3_bound(w + h, a, k)) == gw
+            assert exact_derivative(lambda h: theorem3_bound(w, a + h, k)) == ga
+
+
+def test_check_simplex_checks_every_row_of_a_batch():
+    cols = np.array(simplex_lattice(4), dtype=float).T
+    closedform._check_simplex(tuple(cols), "batch")
+    off_sum = cols.copy()
+    off_sum[2, 17] += 1e-9
+    with pytest.raises(ValueError, match="sum"):
+        closedform._check_simplex(tuple(off_sum), "batch")
+    negative = cols.copy()
+    negative[:, 40] = (-0.25, 0.5, 0.5, 0.25)
+    with pytest.raises(ValueError, match="negative"):
+        theorem1_bound_poly(*negative)
 
 
 def test_d0_cubic_values():

@@ -1,24 +1,21 @@
 """hyperlag: Lagrangians of uniform hypergraphs.
 
-Core objects (hypergraphs, weight vectors, blow-ups), simplex maximization
-of the Lagrangian, extremal multipartite constructions with exact surd part
-weights, locally sparse adders, and machine-checked certificates for the
-bound constants 2/25 and alpha_k/6.
+Core objects (hypergraphs, weight vectors, link differences), simplex
+maximization of the Lagrangian through the twin-class quotient, extremal
+multipartite constructions (a weighted pattern blown up to part sizes) with
+exact surd part weights, locally sparse adders, and machine-checked
+certificates for the bound constants 2/25 and alpha_k/6.
 """
 
 from .hypercore import (
-    BlowupSpec,
     HypergraphFormatError,
     UniformHypergraph,
     WeightVector,
-    blowup,
     density,
-    induced_subgraph,
     lagrangian_gradient,
     lagrangian_value,
     link_difference,
     read_hypergraph,
-    symmetrize_pair,
     write_hypergraph,
 )
 from .closedform import (

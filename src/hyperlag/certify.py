@@ -124,6 +124,11 @@ def _require_grid(resolution: int) -> None:
         raise ValueError(f"grid_resolution must be >= 1, got {resolution}")
 
 
+def _require_profile_budget(s: int | None) -> None:
+    if s is not None and s < 3:
+        raise ValueError(f"profile budget must be >= 3, got {s}")
+
+
 def _grid_refine_max(
     fn: Callable,
     grad: Callable,
@@ -306,6 +311,7 @@ def certify_theorem1(
     Optionally also optimizes every part-size profile up to ``profile_s``.
     """
     _require_grid(grid_resolution)
+    _require_profile_budget(profile_s)
     cases = [
         _case_c0(),
         _case_a0(),
@@ -411,6 +417,7 @@ def certify_theorem3(
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     _require_grid(grid_resolution)
+    _require_profile_budget(profile_s)
     target = alpha_k(k) / 6
     found, pt = _grid_refine_max(
         lambda w, a, b: theorem3_bound(w, a, k),
@@ -591,8 +598,7 @@ def enumerate_profiles_and_bound(
     sparsity cap allows), so this is the brute-force counterpart of the
     analytic case analysis; feasible at desk scale for s up to about 9.
     """
-    if s < 3:
-        raise ValueError(f"profile budget must be >= 3, got {s}")
+    _require_profile_budget(s)
     cfg = cfg or OptimizerConfig(restarts=6, max_iters=300, seed=1)
     if kind == "t1":
         constant = float(T1_CONSTANT)

@@ -40,7 +40,6 @@ def _optimizer_config(args) -> optimize.OptimizerConfig:
         max_iters=args.iters,
         tolerance=args.tol,
         seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -53,11 +52,14 @@ def cmd_lagrangian(args) -> int:
     except OSError as exc:
         _say(f"cannot read {args.path}: {exc}")
         return EXIT_INPUT
-    result = optimize.maximize_lagrangian(G, _optimizer_config(args))
+    try:
+        result = optimize.maximize_lagrangian(G, _optimizer_config(args))
+    except ValueError as exc:
+        _say(f"invalid parameters: {exc}")
+        return EXIT_INPUT
     payload = closedform.to_json(result)
     payload["config"] = {
-        "seed": args.seed, "restarts": args.restarts,
-        "iters": args.iters, "tol": args.tol, "threads": args.threads,
+        "seed": args.seed, "restarts": args.restarts, "iters": args.iters, "tol": args.tol,
     }
     _emit(payload, args.out)
     _say(f"lambda >= {result.value:.12f} on support {list(result.support)}")
@@ -207,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--restarts", type=int, default=12)
     p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--threads", type=int, default=1)
     add_common(p, tol=1e-9)
     p.set_defaults(func=cmd_lagrangian)
 

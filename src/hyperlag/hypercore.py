@@ -14,7 +14,6 @@ generic code path: pass a ``WeightVector`` for floats, or any sequence of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -24,15 +23,11 @@ from typing import Iterable, Sequence, TextIO, Union
 __all__ = [
     "UniformHypergraph",
     "WeightVector",
-    "BlowupSpec",
     "HypergraphFormatError",
     "lagrangian_value",
     "lagrangian_gradient",
     "density",
-    "blowup",
-    "induced_subgraph",
     "link_difference",
-    "symmetrize_pair",
     "read_hypergraph",
     "write_hypergraph",
     "parse_hypergraph",
@@ -128,30 +123,6 @@ class WeightVector:
         return iter(self.weights)
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
-    """Per-vertex class sizes (n_1, ..., n_t) for a blow-up, all >= 1."""
-
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self):
-        ms = tuple(int(m) for m in self.multiplicities)
-        if not ms or any(m < 1 for m in ms):
-            raise ValueError(f"multiplicities must be positive, got {ms}")
-        object.__setattr__(self, "multiplicities", ms)
-
-    def __len__(self):
-        return len(self.multiplicities)
-
-    def class_blocks(self) -> list[tuple[int, int]]:
-        """Inclusive 1-based vertex ranges occupied by each class, in input order."""
-        blocks, lo = [], 1
-        for m in self.multiplicities:
-            blocks.append((lo, lo + m - 1))
-            lo += m
-        return blocks
-
-
 Weights = Union[WeightVector, Sequence]
 
 
@@ -195,36 +166,6 @@ def density(G: UniformHypergraph) -> Fraction:
     return Fraction(G.m, comb(G.n, G.r))
 
 
-def blowup(G: UniformHypergraph, spec: BlowupSpec) -> UniformHypergraph:
-    """Replace vertex i by a class of spec.multiplicities[i-1] fresh vertices and
-    every edge by all transversal copies.  Class i occupies the consecutive
-    block given by ``spec.class_blocks()[i-1]``."""
-    if len(spec) != G.n:
-        raise ValueError(f"blow-up spec has {len(spec)} classes, graph has {G.n} vertices")
-    blocks = spec.class_blocks()
-    classes = [range(lo, hi + 1) for lo, hi in blocks]
-    edges = []
-    for e in G.edges:
-        edges.extend(itertools.product(*(classes[v - 1] for v in e)))
-    return UniformHypergraph(G.r, sum(spec.multiplicities), edges)
-
-
-def induced_subgraph(
-    G: UniformHypergraph, vertices: Iterable[int]
-) -> tuple[UniformHypergraph, dict[int, int]]:
-    """Keep exactly the edges inside ``vertices`` and relabel to 1..k.
-
-    Returns the relabeled hypergraph together with the old-to-new vertex map.
-    """
-    vs = sorted(set(int(v) for v in vertices))
-    if vs and (vs[0] < 1 or vs[-1] > G.n):
-        raise ValueError(f"vertices {vs} leave the range 1..{G.n}")
-    relabel = {old: new for new, old in enumerate(vs, start=1)}
-    keep = set(vs)
-    edges = [tuple(relabel[v] for v in e) for e in G.edges if keep.issuperset(e)]
-    return UniformHypergraph(G.r, len(vs), edges), relabel
-
-
 def link_difference(G: UniformHypergraph, j: int, i: int) -> frozenset[tuple[int, ...]]:
     """The (r-1)-sets e with i not in e, e + {j} an edge, and e + {i} not an edge."""
     if i == j:
@@ -234,23 +175,6 @@ def link_difference(G: UniformHypergraph, j: int, i: int) -> frozenset[tuple[int
             raise ValueError(f"vertex {v} leaves the range 1..{G.n}")
     other = G.links[i]
     return frozenset(S for S in G.links[j] if i not in S and S not in other)
-
-
-def symmetrize_pair(G: UniformHypergraph, x: Weights, i: int, j: int) -> WeightVector:
-    """Average the weights of i and j; requires both link differences empty,
-    which guarantees the Lagrangian does not decrease."""
-    for a, b in ((i, j), (j, i)):
-        diff = link_difference(G, a, b)
-        if diff:
-            sample = sorted(diff)[0]
-            raise ValueError(
-                f"cannot average vertices {i}, {j}: link difference L({a}\\{b}) "
-                f"contains {sample}"
-            )
-    w = list(_weight_seq(G, x))
-    avg = (w[i - 1] + w[j - 1]) / 2
-    w[i - 1] = w[j - 1] = avg
-    return WeightVector(tuple(float(v) for v in w))
 
 
 # ---------------------------------------------------------------------------

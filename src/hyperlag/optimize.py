@@ -12,7 +12,6 @@ heuristic search.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +29,7 @@ __all__ = [
     "grid_oracle",
     "verify_stationarity",
     "symmetry_reduce",
+    "quotient",
     "project_to_simplex",
 ]
 
@@ -43,15 +43,13 @@ class OptimizerConfig:
 
     ``restarts`` starting points are each ascended for at most ``max_iters``
     Armijo steps, until the KKT residual is within ``tolerance``.  ``seed``
-    fixes the Dirichlet starting points; ``threads`` > 1 runs the restarts on
-    a thread pool without changing the result.
+    fixes the Dirichlet starting points.
     """
 
     restarts: int = 12
     max_iters: int = 500
     tolerance: float = 1e-9
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -98,12 +96,14 @@ def _edge_array(G: UniformHypergraph) -> np.ndarray:
     return np.asarray(G.edges, dtype=np.int64) - 1
 
 
-def _gradient(E: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+def _gradient(E: np.ndarray, x: np.ndarray, n: int, coef: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of sum over rows of coef * prod x[row]; a repeated entry in a
+    row is differentiated once per occurrence."""
     X = x[E]
     grad = np.zeros(n)
     r = E.shape[1]
     for c in range(r):
-        others = np.ones(E.shape[0])
+        others = np.ones(E.shape[0]) if coef is None else coef.copy()
         for c2 in range(r):
             if c2 != c:
                 others *= X[:, c2]
@@ -149,19 +149,19 @@ def _ascend(value, gradient, x0: np.ndarray, max_iters: int, done):
     return x, fx, done(x, fx, g, gain)
 
 
-def _starting_points(G: UniformHypergraph, cfg: OptimizerConfig) -> list[np.ndarray]:
-    n = G.n
+def _starting_points(sizes: np.ndarray, owner: np.ndarray, cfg: OptimizerConfig) -> list[np.ndarray]:
+    n = owner.size
     starts = [np.full(n, 1.0 / n)]
-    for cls in symmetry_reduce(G):
+    for c in range(min(sizes.size, cfg.restarts - 1)):
         x = np.zeros(n)
-        x[np.asarray(cls) - 1] = 1.0 / len(cls)
+        x[owner == c] = 1.0 / sizes[c]
         starts.append(x)
     idx = len(starts)
     while len(starts) < cfg.restarts:
         rng = np.random.default_rng((cfg.seed, idx))
         starts.append(rng.dirichlet(np.ones(n)))
         idx += 1
-    return starts[: cfg.restarts]
+    return starts
 
 
 def maximize_lagrangian(
@@ -169,11 +169,16 @@ def maximize_lagrangian(
 ) -> OptimizationResult:
     """Best value over all restarts of projected gradient ascent.
 
-    Deterministic given the seed.  Restart starting points are one uniform
-    vector, one uniform-on-class vector per link-symmetry class, and Dirichlet
-    draws for the remainder; restarts are independent and run on a thread
-    pool when ``cfg.threads > 1``.  Ties in value (within 1e-12) resolve to
-    the lexicographically smallest support.
+    The search runs through the twin-class quotient (see ``quotient``): each
+    restart ascends in vertex coordinates on P(class sums of x), whose
+    gradient is P's class gradient copied to every member, and its end point
+    is lifted by spreading each class sum evenly over the class.  So
+    ``argmax`` is constant on every twin class, and by Frankl-Rodl
+    symmetrization no maximum is lost.  Deterministic given the seed.
+    Restart starting points are one uniform vector, one uniform-on-class
+    vector per twin class, and Dirichlet draws for the remainder.  Ties in
+    value (within 1e-12) resolve to the lexicographically smallest support.
+    The reported value and stationarity residual are computed on G itself.
     """
     cfg = cfg or OptimizerConfig()
     if G.n < 1:
@@ -182,23 +187,20 @@ def maximize_lagrangian(
         wv = WeightVector.uniform(G.n)
         return OptimizationResult(0.0, wv, tuple(range(1, G.n + 1)), 0.0, cfg.restarts, True)
 
-    E = _edge_array(G)
+    T, coef, sizes, owner = quotient(G)
+    k = sizes.size
 
     def ascend(x0):
-        return _ascend(
-            lambda x: float(x[E].prod(axis=1).sum()),
-            lambda x: _gradient(E, x, G.n),
+        x, lam, conv = _ascend(
+            lambda x: float((coef * np.bincount(owner, x, k)[T].prod(axis=1)).sum()),
+            lambda x: _gradient(T, np.bincount(owner, x, k), k, coef)[owner],
             x0,
             cfg.max_iters,
             lambda x, fx, g, gain: _kkt_residual(x, g, fx, G.r) <= cfg.tolerance,
         )
+        return (np.bincount(owner, x, k) / sizes)[owner], lam, conv
 
-    starts = _starting_points(G, cfg)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            runs = list(pool.map(ascend, starts))
-    else:
-        runs = [ascend(s) for s in starts]
+    runs = [ascend(s) for s in _starting_points(sizes, owner, cfg)]
 
     best_lam = max(lam for _, lam, _ in runs)
     candidates = [(x, lam) for x, lam, _ in runs if lam >= best_lam - 1e-12]
@@ -261,6 +263,37 @@ def symmetry_reduce(G: UniformHypergraph) -> list[list[int]]:
             same.append(cls)
             classes.append(cls)
     return classes
+
+
+def quotient(G: UniformHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The twin-class quotient of G as arrays (templates, coef, sizes, owner).
+
+    ``owner[v - 1]`` is the 0-based class of vertex v, classes numbered in
+    the order of ``symmetry_reduce``, and ``sizes[c]`` is n_c.  Each template
+    row holds the sorted classes of some edge's members, once per distinct
+    row, in lexicographic order.  Every permutation inside a twin class is an
+    automorphism, so a template with class multiplicities m_c stands for
+    prod C(n_c, m_c) edges, and with coef = prod C(n_c, m_c) / n_c^m_c the
+    polynomial P(y) = sum coef * prod y[template] equals the Lagrangian of G
+    at the point that spreads y_c evenly over the members of class c.
+    """
+    owner = np.empty(G.n, dtype=np.int64)
+    classes = symmetry_reduce(G)
+    for c, cls in enumerate(classes):
+        owner[np.asarray(cls) - 1] = c
+    sizes = np.array([len(cls) for cls in classes], dtype=np.int64)
+    E = _edge_array(G)
+    if sizes.size == G.n:  # twin-free: owner is the identity, E is sorted and distinct
+        return E, np.ones(G.m), sizes, owner
+    T = np.unique(np.sort(owner[E], axis=1), axis=0)
+    # rank: how often the entry already occurs to its left in the sorted row;
+    # C(n, m) / n^m is the product over ranks j < m of (n - j) / (n (j + 1))
+    rank = np.zeros(T.shape, dtype=np.int64)
+    for j in range(1, G.r):
+        rank[:, j] = np.where(T[:, j] == T[:, j - 1], rank[:, j - 1] + 1, 0)
+    n_c = sizes[T]
+    coef = ((n_c - rank) / (n_c * (rank + 1))).prod(axis=1)
+    return T, coef, sizes, owner
 
 
 # ---------------------------------------------------------------------------

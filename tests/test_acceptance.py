@@ -18,16 +18,16 @@ from hyperlag.closedform import (
     f_b2k_numeric_max,
 )
 from hyperlag.constructions import (
+    PartitionPattern,
     SparseAdderParams,
+    blow_up_pattern,
     build_theorem1_base,
     check_local_sparsity,
     check_local_sparsity_naive,
     generate_sparse_adder,
 )
 from hyperlag.hypercore import (
-    BlowupSpec,
     UniformHypergraph,
-    blowup,
     lagrangian_gradient,
     lagrangian_value,
 )
@@ -167,7 +167,8 @@ def test_08_fact_suite():
     for _ in range(30):
         G = random_graph(rng)
         m = rng.choice([2, 3])
-        gap = abs(maximize_lagrangian(blowup(G, BlowupSpec((m,) * G.n)), cfg).value
+        B = blow_up_pattern(PartitionPattern(G.r, (F(1, G.n),) * G.n, G.edges), [m] * G.n)
+        gap = abs(maximize_lagrangian(B, cfg).value
                   - maximize_lagrangian(G, cfg).value)
         worst = max(worst, gap)
         if gap > 2e-6:

@@ -14,7 +14,7 @@ from hyperlag.certify import (
     enumerate_profiles_and_bound,
     reduce_star,
 )
-from hyperlag import constructions
+from hyperlag import certify, constructions
 from hyperlag.closedform import Surd, alpha_k, exact_to_json, to_json
 from hyperlag.constructions import (
     PartitionPattern,
@@ -133,6 +133,17 @@ def test_certify_theorem3_rejects_small_k():
 # ---------------------------------------------------------------------------
 # density gain
 # ---------------------------------------------------------------------------
+
+def test_small_profile_budget_rejected_before_any_case(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("grid+refine ran before the options were checked")
+
+    monkeypatch.setattr(certify, "_grid_refine_max", no_search)
+    with pytest.raises(ValueError, match="profile budget"):
+        certify_theorem1(profile_s=2)
+    with pytest.raises(ValueError, match="profile budget"):
+        certify_theorem3(2, profile_s=2)
+
 
 def test_density_gain_t1_exact_values():
     rep = check_blowup_density_gain("t1", 25, s=3, c=1.0, seed=0)

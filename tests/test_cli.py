@@ -107,10 +107,17 @@ def test_certify_t3_requires_k(capsys):
     (("certify", "t3", "--k", "1"), "k must be >= 2"),
     (("certify", "t1", "--profiles", "2", "--grid", "4", "--refine-iters", "1"), "profile budget"),
     (("certify", "t1", "--grid", "0"), "grid_resolution must be >= 1"),
+    (("lagrangian", "empty.txt"), "at least one vertex"),
+    (("lagrangian", "edge.txt", "--restarts", "0"), "restarts must be >= 1"),
+    (("lagrangian", "edge.txt", "--tol", "0"), "tolerance must be positive"),
 ])
 def test_input_errors_exit_1(capsys, tmp_path, argv, problem):
     if argv[0] == "construct":
         argv += ("--out", str(tmp_path / "g.txt"))
+    if argv[0] == "lagrangian":
+        (tmp_path / "empty.txt").write_text("3 0 0\n")
+        (tmp_path / "edge.txt").write_text("3 3 1\n1 2 3\n")
+        argv = (argv[0], str(tmp_path / argv[1]), *argv[2:])
     code, stdout, err = run(capsys, *argv)
     assert code == 1 and problem in err and stdout == ""
     assert not (tmp_path / "g.txt").exists()

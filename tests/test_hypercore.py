@@ -5,26 +5,24 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from hyperlag.hypercore import (
-    BlowupSpec,
     HypergraphFormatError,
     UniformHypergraph,
     WeightVector,
-    blowup,
     density,
     format_hypergraph,
-    induced_subgraph,
     lagrangian_gradient,
     lagrangian_value,
     link_difference,
     parse_hypergraph,
     read_hypergraph,
-    symmetrize_pair,
     write_hypergraph,
 )
-from hyperlag.constructions import build_theorem1_base
+from hyperlag.constructions import PartitionPattern, blow_up_pattern, build_theorem1_base
+from hyperlag.optimize import quotient
 
 
 def complete3(n):
@@ -36,6 +34,28 @@ def random_graph(rng, n_lo=3, n_hi=6, min_edges=1):
     pool = list(itertools.combinations(range(1, n + 1), 3))
     m = rng.randint(min_edges, len(pool))
     return UniformHypergraph(3, n, rng.sample(pool, m))
+
+
+def blow_up(G, sizes):
+    """Vertex i of G becomes a class of sizes[i-1] twins, in consecutive blocks."""
+    return blow_up_pattern(PartitionPattern(G.r, (F(1, G.n),) * G.n, G.edges), sizes)
+
+
+def symmetrize_pair(G, x, i, j):
+    """Average the weights of i and j; requires both link differences empty,
+    which guarantees the Lagrangian does not decrease (Frankl-Rodl).  This is
+    the pairwise step behind the twin-class quotient of ``optimize``."""
+    for a, b in ((i, j), (j, i)):
+        diff = link_difference(G, a, b)
+        if diff:
+            sample = sorted(diff)[0]
+            raise ValueError(
+                f"cannot average vertices {i}, {j}: link difference L({a}\\{b}) "
+                f"contains {sample}"
+            )
+    w = list(x)
+    w[i - 1] = w[j - 1] = (w[i - 1] + w[j - 1]) / 2
+    return WeightVector(tuple(w))
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +83,6 @@ def test_weight_vector_normalizes_and_clamps():
         WeightVector((0.5, -1e-6, 0.5))
     with pytest.raises(ValueError):
         WeightVector((0.0, 0.0))
-
-
-def test_blowup_spec_blocks():
-    spec = BlowupSpec((2, 1, 3))
-    assert spec.class_blocks() == [(1, 2), (3, 3), (4, 6)]
-    with pytest.raises(ValueError):
-        BlowupSpec((1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -162,45 +175,28 @@ def test_density_values():
 
 def test_blowup_edge_counts_and_identity():
     E1 = UniformHypergraph(3, 3, [(1, 2, 3)])
-    assert blowup(E1, BlowupSpec((2, 1, 1))).m == 2
-    assert blowup(E1, BlowupSpec((2, 2, 2))).m == 8
+    assert blow_up(E1, [2, 1, 1]).m == 2
+    assert blow_up(E1, [2, 2, 2]).m == 8
     rng = random.Random(3)
     for _ in range(6):
         G = random_graph(rng)
-        assert blowup(G, BlowupSpec((1,) * G.n)) == G
+        assert blow_up(G, [1] * G.n) == G
 
 
 def test_blowup_multilinearity():
     rng = random.Random(7)
     for _ in range(8):
         G = random_graph(rng)
-        spec = BlowupSpec(tuple(rng.randint(1, 3) for _ in range(G.n)))
-        B = blowup(G, spec)
+        sizes = [rng.randint(1, 3) for _ in range(G.n)]
+        B = blow_up(G, sizes)
         mass = [rng.random() + 0.05 for _ in range(G.n)]
         s = sum(mass)
         mass = [v / s for v in mass]
         spread = []
-        for cls_mass, mult in zip(mass, spec.multiplicities):
+        for cls_mass, mult in zip(mass, sizes):
             spread.extend([cls_mass / mult] * mult)
         assert lagrangian_value(B, spread) == pytest.approx(
             lagrangian_value(G, mass), abs=1e-12)
-
-
-def test_induced_subgraph():
-    H, relabel = induced_subgraph(complete3(5), [1, 2, 4, 5])
-    assert H == complete3(4)
-    assert relabel == {1: 1, 2: 2, 4: 3, 5: 4}
-    H2, _ = induced_subgraph(complete3(5), [2, 3])
-    assert H2.m == 0 and H2.n == 2
-    with pytest.raises(ValueError):
-        induced_subgraph(complete3(5), [0, 1, 2])
-
-
-def test_induced_subgraph_theorem1_pattern():
-    G = build_theorem1_base(25)
-    # two V1 vertices plus one V2 vertex span exactly one edge
-    H, _ = induced_subgraph(G, [1, 2, 11])
-    assert H.m == 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +251,32 @@ def test_symmetrize_never_decreases():
     rng = random.Random(41)
     for _ in range(10):
         G = random_graph(rng)
-        B = blowup(G, BlowupSpec((2,) * G.n))   # clone pairs have empty link diffs
+        B = blow_up(G, [2] * G.n)   # clone pairs have empty link diffs
         x = WeightVector(tuple(rng.random() + 0.01 for _ in range(B.n)))
         before = lagrangian_value(B, x)
         y = symmetrize_pair(B, x, 1, 2)
         assert lagrangian_value(B, y) >= before - 1e-15
+
+
+def test_quotient_lift_is_pairwise_symmetrization():
+    # averaging twins pair by pair along each class reaches the quotient's
+    # lift of the class sums, and no step lowers the Lagrangian
+    rng = random.Random(43)
+    for _ in range(10):
+        G = random_graph(rng)
+        B = blow_up(G, [rng.randint(1, 3) for _ in range(G.n)])
+        _, _, sizes, owner = quotient(B)
+        x = WeightVector(tuple(rng.random() + 0.01 for _ in range(B.n)))
+        lifted = (np.bincount(owner, x.weights) / sizes)[owner]
+        y, value = x, lagrangian_value(B, x)
+        for c in range(sizes.size):
+            members = [int(v) + 1 for v in np.flatnonzero(owner == c)]
+            for _ in range(60):  # repeated pair averages converge to the class mean
+                for u, v in itertools.combinations(members, 2):
+                    y = symmetrize_pair(B, y, u, v)
+                    assert lagrangian_value(B, y) >= value - 1e-15
+                    value = lagrangian_value(B, y)
+        assert y.weights == pytest.approx(lifted.tolist(), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Simplex maximization, lattice oracle, stationarity, symmetry classes."""
+"""Simplex maximization, lattice oracle, stationarity, symmetry classes, quotient."""
 
 import itertools
 import random
@@ -8,21 +8,28 @@ import numpy as np
 import pytest
 
 from hyperlag.closedform import alpha_k, to_json
-from hyperlag.constructions import build_b2k, build_theorem1_base
+from hyperlag.constructions import (
+    PartitionPattern,
+    blow_up_pattern,
+    build_b2k,
+    build_theorem1_base,
+    build_theorem3_pattern,
+    instantiate_pattern,
+)
 from hyperlag.hypercore import (
-    BlowupSpec,
     UniformHypergraph,
     WeightVector,
-    blowup,
     density,
     lagrangian_value,
     link_difference,
 )
 from hyperlag.optimize import (
     OptimizerConfig,
+    _edge_array,
     grid_oracle,
     maximize_lagrangian,
     project_to_simplex,
+    quotient,
     symmetry_reduce,
     verify_stationarity,
 )
@@ -36,6 +43,11 @@ def random_graph(rng, n_lo=3, n_hi=6):
     n = rng.randint(n_lo, n_hi)
     pool = list(itertools.combinations(range(1, n + 1), 3))
     return UniformHypergraph(3, n, rng.sample(pool, rng.randint(1, len(pool))))
+
+
+def blow_up(G, sizes):
+    """Vertex i of G becomes a class of sizes[i-1] twins, in consecutive blocks."""
+    return blow_up_pattern(PartitionPattern(G.r, (F(1, G.n),) * G.n, G.edges), sizes)
 
 
 CFG = OptimizerConfig(restarts=8, max_iters=400, seed=5)
@@ -85,13 +97,12 @@ def test_b2_family_increases_toward_limit():
     assert maximize_lagrangian(G6, CFG).value >= float(grid_oracle(G6, 30)) - 1e-9
 
 
-def test_determinism_and_threads():
+def test_determinism():
     G = random_graph(random.Random(1))
     a = maximize_lagrangian(G, CFG)
     b = maximize_lagrangian(G, CFG)
-    c = maximize_lagrangian(G, OptimizerConfig(restarts=8, max_iters=400, seed=5, threads=3))
-    assert a.value == b.value == c.value
-    assert a.argmax.weights == b.argmax.weights == c.argmax.weights
+    assert a.value == b.value
+    assert a.argmax.weights == b.argmax.weights
 
 
 def test_value_consistent_with_argmax():
@@ -232,7 +243,7 @@ def twin_test_graphs():
             pool = list(itertools.combinations(range(1, n + 1), r))
             G = UniformHypergraph(r, n, rng.sample(pool, rng.randint(0, len(pool))))
             yield G
-            yield blowup(G, BlowupSpec(tuple(rng.randint(1, 3) for _ in range(n))))
+            yield blow_up(G, [rng.randint(1, 3) for _ in range(n)])
 
 
 def test_symmetry_reduce_matches_all_pairs_closure():
@@ -260,10 +271,66 @@ def test_blowup_invariance_of_maximum():
     for _ in range(6):
         G = random_graph(rng)
         m = rng.choice([2, 3])
-        B = blowup(G, BlowupSpec((m,) * G.n))
+        B = blow_up(G, [m] * G.n)
         cfg = OptimizerConfig(restarts=10, max_iters=400, seed=7)
         assert maximize_lagrangian(B, cfg).value == pytest.approx(
             maximize_lagrangian(G, cfg).value, abs=2e-6)
+
+
+# ---------------------------------------------------------------------------
+# twin-class quotient
+# ---------------------------------------------------------------------------
+
+def lift(y, sizes, owner):
+    """Spread each class weight y_c evenly over the n_c members of class c."""
+    return (np.asarray(y) / sizes)[owner]
+
+
+def test_quotient_blows_up_to_the_class_block_relabeling():
+    for G in twin_test_graphs():
+        T, coef, sizes, owner = quotient(G)
+        assert owner.shape == (G.n,) and np.bincount(owner).tolist() == sizes.tolist()
+        assert (np.sort(T, axis=1) == T).all()
+        # relabel so that class c is the c-th consecutive block of vertices
+        order = np.lexsort((np.arange(G.n), owner))
+        new = np.empty(G.n, dtype=np.int64)
+        new[order] = np.arange(1, G.n + 1)
+        relabeled = UniformHypergraph(G.r, G.n, [[int(new[v - 1]) for v in e] for e in G.edges])
+        k = sizes.size
+        pattern = PartitionPattern(G.r, (F(1, k),) * k, [tuple(int(c) + 1 for c in t) for t in T])
+        assert blow_up_pattern(pattern, sizes.tolist()).edges == relabeled.edges
+
+
+def test_quotient_polynomial_is_the_lagrangian_at_the_lift():
+    rng = np.random.default_rng(9)
+    for G in twin_test_graphs():
+        T, coef, sizes, owner = quotient(G)
+        for _ in range(3):
+            y = rng.dirichlet(np.ones(sizes.size))
+            P = float((coef * y[T].prod(axis=1)).sum())
+            assert P == pytest.approx(lagrangian_value(G, lift(y, sizes, owner).tolist()), abs=1e-14)
+
+
+def test_quotient_of_a_twin_free_graph_is_the_graph():
+    twin_free = 0
+    for G in twin_test_graphs():
+        T, coef, sizes, owner = quotient(G)
+        if sizes.size < G.n:
+            continue
+        twin_free += 1
+        assert np.array_equal(T, _edge_array(G))
+        assert (coef == 1.0).all()
+        assert owner.tolist() == list(range(G.n))
+    assert twin_free >= 5
+
+
+def test_argmax_is_constant_on_twin_classes():
+    for G in (build_theorem1_base(30), instantiate_pattern(build_theorem3_pattern(2), 35)):
+        res = maximize_lagrangian(G)
+        uniform = lagrangian_value(G, WeightVector.uniform(G.n))
+        assert res.value >= uniform
+        for cls in symmetry_reduce(G):
+            assert len({res.argmax[v - 1] for v in cls}) == 1
 
 
 def test_edge_addition_monotone():

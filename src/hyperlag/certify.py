@@ -14,7 +14,6 @@ own; every "<=" that matters is paired with an exact case analysis.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -27,6 +26,7 @@ from .closedform import (
     alpha_k,
     astar_weight,
     f_b2k,
+    f_b2k_poly,
     f_b2k_prime,
     theorem1_bound_gradient,
     theorem1_bound_poly,
@@ -37,7 +37,6 @@ from .closedform import (
     theorem3_bound_chain,
     theorem3_bound_gradient,
     theorem3_c0,
-    theorem3_t_poly,
     verify_theorem1_quartic_identity,
 )
 from .constructions import (
@@ -70,6 +69,9 @@ __all__ = [
 ]
 
 T1_CONSTANT = Fraction(2, 25)
+# the variable of the one-variable substitutions into the bound polynomials
+_X = RationalPolynomial((0, 1))
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -174,14 +176,14 @@ def _grid_refine_max(
 # ---------------------------------------------------------------------------
 
 def _case_c0() -> CaseVerdict:
-    # objective collapses to a^2 b / 4; exact 1-d maximization of a^2(1-a)/4
-    cubic = RationalPolynomial((0, 0, Fraction(1, 4), Fraction(-1, 4)))
+    # the objective collapses to a^2 b / 4; exact 1-d maximization on the edge
+    cubic = theorem1_bound_poly(_X, 1 - _X, _ZERO, _ZERO)
     crit = Fraction(2, 3)
     peak = cubic(crit)
     ok = (
         cubic.derivative()(crit) == 0
         and peak == Fraction(1, 27)
-        and cubic(Fraction(0)) == 0
+        and cubic(_ZERO) == 0
         and cubic(Fraction(1)) == 0
         and peak < T1_CONSTANT
         # the cube-mean majorant is tight at the maximizer
@@ -195,22 +197,21 @@ def _case_c0() -> CaseVerdict:
 
 
 def _case_a0() -> CaseVerdict:
-    # stationarity of b^2 c/2 + b c d + c^2 d/2 at b = c = 2d = 2/5, exactly
-    b, c, d = Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)
-    val = b * b * c / 2 + b * c * d + c * c * d / 2
-    pb = b * c + c * d
-    pc = b * b / 2 + b * d + c * d
-    pd = b * c + c * c / 2
-    # boundary sub-cases collapse to x^2 (1-x)/2 with peak 2/27
-    edge = RationalPolynomial((0, 0, Fraction(1, 2), Fraction(-1, 2)))
-    edge_peak = edge(Fraction(2, 3))
+    # stationarity at b = c = 2d = 2/5, exactly: the b, c, d partials agree
+    point = (_ZERO, Fraction(2, 5), Fraction(2, 5), Fraction(1, 5))
+    val = theorem1_bound_poly(*point)
+    _, pb, pc, pd = theorem1_bound_gradient(*point)
+    # the boundary edges b = 0 and d = 0 of this face peak at 2/27
+    crit = Fraction(2, 3)
+    edges = (
+        theorem1_bound_poly(_ZERO, _ZERO, _X, 1 - _X),
+        theorem1_bound_poly(_ZERO, _X, 1 - _X, _ZERO),
+    )
     ok = (
-        b + c + d == 1
-        and pb == pc == pd
+        pb == pc == pd
         and val == T1_CONSTANT
-        and edge.derivative()(Fraction(2, 3)) == 0
-        and edge_peak == Fraction(2, 27)
-        and edge_peak < T1_CONSTANT
+        and all(edge.derivative()(crit) == 0 and edge(crit) == Fraction(2, 27) for edge in edges)
+        and Fraction(2, 27) < T1_CONSTANT
     )
     return CaseVerdict(
         "a=0", T1_CONSTANT, float(val), "exact", ok,
@@ -241,11 +242,7 @@ def _case_b0(resolution: int, refine_iters: int, top: int) -> CaseVerdict:
 
 def _case_d0() -> CaseVerdict:
     # eliminate a = 2 - 4b, c = 3b - 1 and certify the cubic on [1/3, 1/2]
-    b = RationalPolynomial((0, 1))
-    a = RationalPolynomial((2, -4))
-    c = RationalPolynomial((-1, 3))
-    substituted = (a * a * Fraction(1, 4) + a * b + b * b * Fraction(1, 2)) * c \
-        + a * a * b * Fraction(1, 4)
+    substituted = theorem1_bound_poly(2 - 4 * _X, _X, 3 * _X - 1, _ZERO)
     cubic = theorem1_d0_cubic_poly()
     bstar = theorem1_d0_critical_point()
     peak = theorem1_d0_peak_value()
@@ -356,39 +353,28 @@ def _report(
 # The alpha_k/6 certificate
 # ---------------------------------------------------------------------------
 
-def _rational_simplex_points(count: int, seed: int = 11) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Deterministic exact rational points (w, a, b) on the simplex."""
-    rng = random.Random(seed)
-    pts = []
-    while len(pts) < count:
-        den = rng.randint(7, 97)
-        i = rng.randint(0, den)
-        j = rng.randint(0, den - i)
-        pts.append((Fraction(i, den), Fraction(j, den), Fraction(den - i - j, den)))
-    return pts
-
-
 def _case_t3_early(k: int) -> CaseVerdict:
     """Exact collapse of the easy cases onto the B(2k, n) limit objective.
 
-    Identity: bound(w, a, b) + (a^2/4)(w - b) == T(w) + w (a + b)^2 / 2,
-    verified at exact rational points; when b <= w the correction term is
-    nonnegative, so the bound is at most T(w) + w (1 - w)^2 / 2 = f_b2k(w).
-    The exact peak of f_b2k is alpha_k/6 at a*, pinned by surd arithmetic
-    and the sign of the derivative at the interval ends.
+    Identity, with b = 1 - w - a: bound(w, a, b) + (a^2/4)(w - b) == f_b2k(w),
+    which is T(w) + w (a + b)^2 / 2 since a + b = 1 - w.  Both sides have
+    degree at most 3 in a, so the identity in w at four values of a proves
+    it; when b <= w the correction term is nonnegative, so the bound is at
+    most f_b2k(w).  The exact peak of f_b2k is alpha_k/6 at a*, pinned by
+    surd arithmetic and the sign of the derivative at the interval ends.
     """
-    t_poly = theorem3_t_poly(k)
+    f = f_b2k_poly(k)
     astar = astar_weight(k)
     target = alpha_k(k)
     ok = (
-        all(theorem3_bound(w, a, k) + (a * a / 4) * (w - b) == t_poly(w) + w * (a + b) ** 2 / 2
-            for w, a, b in _rational_simplex_points(25))
-        and f_b2k_prime(Fraction(0), k) == Fraction(1, 2)
+        all(theorem3_bound(_X, a, k) + (a * a / 4) * (_X - (1 - _X - a)) == f
+            for a in (Fraction(i, 3) for i in range(4)))
+        and f_b2k_prime(_ZERO, k) == Fraction(1, 2)
         and f_b2k_prime(Fraction(1), k) < 0
-        and f_b2k_prime(astar, k) == Surd(Fraction(0))
+        and f_b2k_prime(astar, k) == Surd(_ZERO)
         and 6 * f_b2k(astar, k) == target
-        and (astar - Fraction(0)).sign() > 0
-        and (Fraction(1) - astar).sign() > 0
+        and astar.sign() > 0
+        and (1 - astar).sign() > 0
     )
     return CaseVerdict(
         "early-collapse", target / 6, float(target) / 6, "exact", ok,

@@ -152,17 +152,14 @@ def cmd_certify(args) -> int:
     if args.theorem == "t3" and args.k is None:
         _say("certify t3 needs --k")
         return EXIT_INPUT
-    options = {
-        "grid_resolution": args.grid,
-        "refine_iters": args.refine_iters,
-        "tol": args.tol,
-        "profile_s": args.profiles,
-    }
+    # options left out keep the library's defaults
+    given = {"grid_resolution": args.grid, "refine_iters": args.refine_iters, "tol": args.tol}
+    options = {name: value for name, value in given.items() if value is not None}
     try:
         if args.theorem == "t1":
-            report = certify.certify_theorem1(**options)
+            report = certify.certify_theorem1(profile_s=args.profiles, **options)
         else:
-            report = certify.certify_theorem3(args.k, **options)
+            report = certify.certify_theorem3(args.k, profile_s=args.profiles, **options)
     except ValueError as exc:
         _say(f"invalid parameters: {exc}")
         return EXIT_INPUT
@@ -197,19 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, seed=True, out=True, tol=None):
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if out:
-            p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
+    def add_out(p):
+        p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
+    defaults = optimize.OptimizerConfig()
     p = sub.add_parser("lagrangian", help="maximize the Lagrangian of a hypergraph file")
     p.add_argument("path")
-    p.add_argument("--restarts", type=int, default=12)
-    p.add_argument("--iters", type=int, default=500)
-    add_common(p, tol=1e-9)
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    p.add_argument("--iters", type=int, default=defaults.max_iters)
+    p.add_argument("--tol", type=float, default=defaults.tolerance)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    add_out(p)
     p.set_defaults(func=cmd_lagrangian)
 
     p = sub.add_parser("construct", help="build a hypergraph family and write it to a file")
@@ -228,18 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--check-optimize", action="store_true",
                    help="also compare alpha_k/6 against a 1-d numeric maximization")
-    add_common(p, seed=False)
+    add_out(p)
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("certify", help="run a certification pipeline")
     p.add_argument("theorem", choices=["t1", "t3"])
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--refine-iters", type=int, default=500)
+    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--refine-iters", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--profiles", type=int, default=None,
                    help="also optimize every part-size profile up to this total size")
-    add_common(p, seed=False, tol=None)
-    p.add_argument("--tol", type=float, default=None)
+    add_out(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("density-gain", help="blow-up density gain accounting for gstar")
@@ -248,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--s", type=int, default=3)
     p.add_argument("--c", type=float, default=1.0)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    add_out(p)
     p.set_defaults(func=cmd_density_gain)
 
     return parser
@@ -256,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "certify" and args.tol is None:
-        args.tol = 1e-9 if args.theorem == "t1" else 1e-8
     return args.func(args)
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "f_b2k",
     "f_b2k_prime",
     "f_b2k_poly",
-    "f_b2k_prime_poly",
     "f_b2k_numeric_max",
     "is_non_square_4k_minus_1",
     "theorem1_bound_poly",
@@ -57,9 +56,7 @@ __all__ = [
     "theorem3_t_poly",
     "theorem3_cubic_part_poly",
     "theorem3_g_poly",
-    "theorem3_gprime_poly",
     "theorem3_c0",
-    "theorem3_c1",
     "theorem3_bound_chain",
     "ChainStep",
     "ChainReport",
@@ -135,10 +132,6 @@ class Surd:
             return cls(Fraction(0))
         m, d = square_free_split(x.numerator * x.denominator)
         return cls(Fraction(0), Fraction(m, x.denominator), d)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
 
     def _coerce(self, other):
         if isinstance(other, Surd):
@@ -310,6 +303,7 @@ class RationalPolynomial:
     The zero polynomial is the empty coefficient tuple; otherwise the leading
     coefficient is nonzero.  Evaluation is Horner's rule, exact on Fractions
     and Surds; on a float or a numpy array it runs on float coefficients.
+    Evaluating at another polynomial substitutes it for the variable.
     """
 
     coeffs: tuple[Fraction, ...] = ()
@@ -393,15 +387,15 @@ class RationalPolynomial:
             acc = acc * x + c
         return acc
 
+    def __truediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other == 0:
+            raise ZeroDivisionError("polynomial divided by zero")
+        return RationalPolynomial(tuple(c / other for c in self.coeffs))
+
     def derivative(self) -> "RationalPolynomial":
         return RationalPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
-        """Substitute ``inner`` for the variable."""
-        acc = RationalPolynomial(())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RationalPolynomial((c,))
-        return acc
 
 
 _X = RationalPolynomial((Fraction(0), Fraction(1)))
@@ -432,32 +426,14 @@ def astar_weight(k: int) -> Surd:
     return Fraction(2 * k * k + k, den) - Fraction(k, den) * Surd.sqrt(4 * k - 1)
 
 
+@lru_cache(maxsize=None)
 def f_b2k_poly(k: int) -> RationalPolynomial:
     """Limit objective of B(2k, n) as a cubic in the total apex weight a:
+    the first-block terms ``theorem3_t_poly(k)`` plus a (1-a)^2 / 2, that is
 
         (a/2k)^3 C(2k,3) + (a/2k)^2 C(2k,2) (1-a) + a (1-a)^2 / 2
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    a = _X
-    one_minus_a = RationalPolynomial((Fraction(1), Fraction(-1)))
-    return (
-        Fraction(comb(2 * k, 3), (2 * k) ** 3) * a**3
-        + Fraction(comb(2 * k, 2), (2 * k) ** 2) * a**2 * one_minus_a
-        + Fraction(1, 2) * a * one_minus_a**2
-    )
-
-
-def f_b2k_prime_poly(k: int) -> RationalPolynomial:
-    """Derivative of the limit objective, from the independently stated form
-    (1/4k^2 + 1/2) a^2 - (1/2k + 1) a + 1/2."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return RationalPolynomial((
-        Fraction(1, 2),
-        -(Fraction(1, 2 * k) + 1),
-        Fraction(1, 4 * k * k) + Fraction(1, 2),
-    ))
+    return theorem3_t_poly(k) + _X * (1 - _X) ** 2 / 2
 
 
 def f_b2k(a, k: int):
@@ -467,7 +443,7 @@ def f_b2k(a, k: int):
 
 def f_b2k_prime(a, k: int):
     """Evaluate the derivative of the limit objective at a."""
-    return f_b2k_prime_poly(k)(a)
+    return f_b2k_poly(k).derivative()(a)
 
 
 def f_b2k_numeric_max(k: int, iters: int = 200) -> tuple[float, float]:
@@ -476,7 +452,7 @@ def f_b2k_numeric_max(k: int, iters: int = 200) -> tuple[float, float]:
     Bisects the derivative, which is positive at 0 and negative at 1, so the
     result is independent of the closed forms above.  Returns (argmax, value).
     """
-    fp = f_b2k_prime_poly(k)
+    fp = f_b2k_poly(k).derivative()
     lo, hi = 0.0, 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
@@ -510,8 +486,16 @@ def is_non_square_4k_minus_1(k: int) -> bool:
 
 def _check_simplex(values, label: str) -> None:
     """Reject a point off the standard simplex (tolerance 1e-12).  The
-    coordinates are numbers, or numpy columns holding one point per row."""
-    if any(isinstance(v, np.ndarray) for v in values):
+    coordinates are numbers, or numpy columns holding one point per row, or
+    polynomials in one variable (a substitution), which must sum to 1
+    identically; their signs are the caller's range restriction."""
+    # one scan, so the scalar path of the ascent pays for one generator only
+    first = next((v for v in values if isinstance(v, (np.ndarray, RationalPolynomial))), None)
+    if isinstance(first, RationalPolynomial):
+        if sum(values) - 1:
+            raise ValueError(f"{label}: coordinates do not sum to 1 identically")
+        return
+    if first is not None:
         low = float(min(np.min(v) for v in values))
         sums = np.zeros(np.broadcast(*values).shape)
         for v in values:
@@ -530,8 +514,9 @@ def theorem1_bound_poly(a, b, c, d):
     """Bound polynomial (a^2/4 + ab + b^2/2) c + (a+b) c d + c^2 d / 2 + a^2 b / 4.
 
     Requires (a, b, c, d) on the standard simplex (tolerance 1e-12); generic
-    over number type, so exact on Fractions, and on numpy columns it checks
-    and evaluates one point per row.
+    over number type, so exact on Fractions, on numpy columns it checks and
+    evaluates one point per row, and on polynomial coordinates summing to 1
+    it returns the substituted polynomial (a face or an edge).
     """
     _check_simplex((a, b, c, d), "theorem1_bound_poly")
     return (a * a / 4 + a * b + b * b / 2) * c + (a + b) * c * d + c * c * d / 2 + a * a / 4 * b
@@ -626,7 +611,8 @@ def theorem3_bound(w, a, k: int):
         (w/2k)^3 C(2k,3) + (w/2k)^2 C(2k,2) (1-w)
             + w (a^2/4 + ab + b^2/2) + a^2 b / 4
 
-    Generic over number type: exact on Fractions, elementwise on numpy columns.
+    Generic over number type: exact on Fractions, elementwise on numpy
+    columns, and on polynomials in one variable it substitutes them.
     """
     b = 1 - w - a
     t = theorem3_t_poly(k)(w)
@@ -653,10 +639,9 @@ def theorem3_t_poly(k: int) -> RationalPolynomial:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     w = _X
-    one_minus_w = RationalPolynomial((Fraction(1), Fraction(-1)))
     return (
         Fraction(comb(2 * k, 3), (2 * k) ** 3) * w**3
-        + Fraction(comb(2 * k, 2), (2 * k) ** 2) * w**2 * one_minus_w
+        + Fraction(comb(2 * k, 2), (2 * k) ** 2) * w**2 * (1 - w)
     )
 
 
@@ -670,31 +655,11 @@ def theorem3_g_poly(k: int) -> RationalPolynomial:
     return theorem3_t_poly(k) + theorem3_cubic_part_poly()
 
 
-def theorem3_gprime_poly(k: int) -> RationalPolynomial:
-    """Derivative of g from its independently stated form
-    (1/4k^2 - 7/18) w^2 - (1/2k + 1/9) w + 5/18."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return RationalPolynomial((
-        Fraction(5, 18),
-        -(Fraction(1, 2 * k) + Fraction(1, 9)),
-        Fraction(1, 4 * k * k) - Fraction(7, 18),
-    ))
-
-
 def theorem3_c0(k: int) -> Surd:
     """Uniform-weight shortfall coefficient of the ideal (2k+1)-part count."""
     den = 6 * (2 * k * k + 1) ** 2
     rat = Fraction(3 * k + 6 * k * k - 18 * k**3, den)
     irr = Fraction(-3 * k + 6 * k * k + 6 * k**3, den)
-    return rat + irr * Surd.sqrt(4 * k - 1)
-
-
-def theorem3_c1(k: int) -> Surd:
-    """Density-gain coefficient once the apex part carries k |V_apex|^2 extra edges."""
-    den = 6 * (2 * k * k + 1) ** 2
-    rat = Fraction(3 * k - 18 * k * k + 18 * k**3 + 24 * k**4, den)
-    irr = Fraction(3 * k + 6 * k * k - 18 * k**3, den)
     return rat + irr * Surd.sqrt(4 * k - 1)
 
 
@@ -715,37 +680,30 @@ class ChainReport:
         return [s.name for s in self.steps if not s.ok]
 
 
-def theorem3_bound_chain(k: int, samples: int = 10_000) -> ChainReport:
-    """Verify the monotone chain that pins the alpha_k/6 bound, exactly where
-    both sides are rational or surd-valued.
+def theorem3_bound_chain(k: int) -> ChainReport:
+    """Verify the monotone chain that pins the alpha_k/6 bound, exactly.
 
     Steps:
-      (i)   the inner derivative -3a^2/4 + a/2 - aw vanishes identically at
-            a = (2 - 4w)/3, and substituting that a (with b = (1 + w)/3) into
-            the apex terms reproduces the stated cubic envelope;
+      (i)   the a-partial of ``theorem3_bound`` (from ``theorem3_bound_gradient``)
+            vanishes identically at a = (2 - 4w)/3, and ``theorem3_bound`` there
+            is the envelope g = T + the stated apex cubic;
       (ii)  the cubic envelope equals exactly 1/16 at w = 1/2, matching
             w (1 - w)^2 / 2 there;
-      (iii) g' stays positive on [0, 1/2]: its discriminant exceeds the square
-            of 1/2 + 1/2k - 1/4k^2 (for k = 2 this is the exact comparison
-            along with the legacy form 165/324 > (11/16)^2), and independently
-            g' is concave with positive values at both endpoints;
-      (iv)  g is nondecreasing on [0, 1/2] on a dense float sample;
-      (v)   g(1/2) equals f_b2k(1/2, k) exactly and sits strictly below
+      (iii) g' stays positive on [0, 1/2]: it is a concave quadratic with
+            positive values at both endpoints;
+      (iv)  g(1/2) equals f_b2k(1/2, k) exactly and sits strictly below
             alpha_k / 6 (surd comparison);
-      (vi)  6 f_b2k(a*, k) equals alpha_k exactly in surd arithmetic.
+      (v)   6 f_b2k(a*, k) equals alpha_k exactly in surd arithmetic.
     """
     if k < 2:
         raise ValueError(f"chain requires k >= 2, got {k}")
     steps: list[ChainStep] = []
 
-    # (i) inner maximizer and envelope substitution
+    # (i) inner maximizer and envelope, by substitution into the bound
     w = _X
-    a_sub = RationalPolynomial((Fraction(2, 3), Fraction(-4, 3)))
-    b_sub = RationalPolynomial((Fraction(1, 3), Fraction(1, 3)))
-    inner_prime = Fraction(-3, 4) * a_sub**2 + a_sub * (Fraction(1, 2) - w)
-    apex = w * (a_sub**2 * Fraction(1, 4) + a_sub * b_sub + b_sub**2 * Fraction(1, 2)) \
-        + a_sub**2 * b_sub * Fraction(1, 4)
-    ok_i = (not inner_prime) and apex == theorem3_cubic_part_poly()
+    a_inner = (2 - 4 * w) / 3
+    g = theorem3_g_poly(k)
+    ok_i = not theorem3_bound_gradient(w, a_inner, k)[1] and theorem3_bound(w, a_inner, k) == g
     steps.append(ChainStep(
         "inner-maximizer",
         ok_i,
@@ -759,44 +717,28 @@ def theorem3_bound_chain(k: int, samples: int = 10_000) -> ChainReport:
     ok_ii = cubic_half == Fraction(1, 16) == tail_half
     steps.append(ChainStep("endpoint-1/16", ok_ii, f"cubic(1/2) = {cubic_half}"))
 
-    # (iii) g' > 0 on [0, 1/2], two exact routes
-    disc = Fraction(36, 81) + Fraction(1, 9 * k) - Fraction(1, 36 * k * k)
-    rhs = Fraction(1, 2) + Fraction(1, 2 * k) - Fraction(1, 4 * k * k)
-    root_beyond_half = rhs > 0 and disc > rhs * rhs
-    if k == 2:
-        # keep the legacy k=2 comparison on record next to the recomputed radicand
-        root_beyond_half = root_beyond_half and Fraction(165, 324) > rhs * rhs \
-            and disc == Fraction(71, 144)
-    gp = theorem3_gprime_poly(k)
-    concave = gp.coeffs[2] < 0
-    endpoints_pos = gp(Fraction(0)) > 0 and gp(half) > 0
-    ok_iii = root_beyond_half and concave and endpoints_pos
+    # (iii) g' > 0 on [0, 1/2]: a concave quadratic lies above its chord
+    gp = g.derivative()
+    ok_iii = gp.degree == 2 and gp.coeffs[2] < 0 and gp(Fraction(0)) > 0 and gp(half) > 0
     steps.append(ChainStep(
         "gprime-positive",
         ok_iii,
-        f"discriminant {disc} > ({rhs})^2; concave with g'(0) = {gp(Fraction(0))}, "
-        f"g'(1/2) = {gp(half)}",
+        f"concave with g'(0) = {gp(Fraction(0))}, g'(1/2) = {gp(half)}",
     ))
 
-    # (iv) dense float sample of monotonicity
-    g = theorem3_g_poly(k)
-    vals = g(0.5 * np.arange(samples + 1) / samples)
-    ok_iv = bool(np.all(vals[1:] >= vals[:-1] - 1e-15))
-    steps.append(ChainStep("sampled-monotone", ok_iv, f"{samples + 1} points on [0, 1/2]"))
-
-    # (v) the chain terminus at w = 1/2
+    # (iv) the chain terminus at w = 1/2
     g_half = g(half)
     target = alpha_k(k) / 6
-    ok_v = g_half == f_b2k(half, k) and (target - g_half).sign() > 0
+    ok_iv = g_half == f_b2k(half, k) and (target - g_half).sign() > 0
     steps.append(ChainStep(
         "half-point-bound",
-        ok_v,
+        ok_iv,
         f"g(1/2) = {g_half} = f_b2k(1/2) <= alpha_k/6 (strict)",
     ))
 
-    # (vi) the peak identity tying f_b2k to alpha_k
+    # (v) the peak identity tying f_b2k to alpha_k
     astar = astar_weight(k)
-    ok_vi = 6 * f_b2k(astar, k) == alpha_k(k) and f_b2k_prime(astar, k) == Surd(Fraction(0))
-    steps.append(ChainStep("peak-identity", ok_vi, "6 f(a*) = alpha_k and f'(a*) = 0, exactly"))
+    ok_v = 6 * f_b2k(astar, k) == alpha_k(k) and f_b2k_prime(astar, k) == Surd(Fraction(0))
+    steps.append(ChainStep("peak-identity", ok_v, "6 f(a*) = alpha_k and f'(a*) = 0, exactly"))
 
     return ChainReport(k=k, steps=tuple(steps), ok=all(s.ok for s in steps))

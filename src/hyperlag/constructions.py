@@ -96,10 +96,6 @@ class PartitionPattern:
     def num_parts(self) -> int:
         return len(self.part_weights)
 
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return tuple(range(1, self.num_parts + 1))
-
 
 @dataclass(frozen=True)
 class SparseAdderParams:

@@ -65,7 +65,7 @@ class StationarityReport:
 
     residual: float
     per_coordinate: tuple[float, ...]
-    r_lambda: float
+    value: float
     tol: float
     passed: bool
 
@@ -111,15 +111,11 @@ def _gradient(E: np.ndarray, x: np.ndarray, n: int, coef: np.ndarray | None = No
     return grad
 
 
-def _kkt_residual(x: np.ndarray, grad: np.ndarray, lam: float, r: int) -> float:
-    target = r * lam
-    on = x > SUPPORT_EPSILON
-    res = 0.0
-    if on.any():
-        res = float(np.abs(grad[on] - target).max())
-    if (~on).any():
-        res = max(res, float(np.maximum(grad[~on] - target, 0.0).max()))
-    return res
+def _kkt_residuals(x: np.ndarray, grad: np.ndarray, lam: float, r: int) -> np.ndarray:
+    """Per-coordinate first-order residuals: |grad_i - r*lam| on the support,
+    the positive part of grad_i - r*lam off it."""
+    excess = grad - r * lam
+    return np.where(x > SUPPORT_EPSILON, np.abs(excess), np.maximum(excess, 0.0))
 
 
 def _ascend(value, gradient, x0: np.ndarray, max_iters: int, done):
@@ -196,7 +192,7 @@ def maximize_lagrangian(
             lambda x: _gradient(T, np.bincount(owner, x, k), k, coef)[owner],
             x0,
             cfg.max_iters,
-            lambda x, fx, g, gain: _kkt_residual(x, g, fx, G.r) <= cfg.tolerance,
+            lambda x, fx, g, gain: _kkt_residuals(x, g, fx, G.r).max() <= cfg.tolerance,
         )
         return (np.bincount(owner, x, k) / sizes)[owner], lam, conv
 
@@ -208,10 +204,9 @@ def maximize_lagrangian(
     pick = min(range(len(candidates)), key=lambda i: supports[i])
 
     argmax = WeightVector(tuple(float(v) for v in candidates[pick][0]))
-    value = float(lagrangian_value(G, argmax))
     report = verify_stationarity(G, argmax, cfg.tolerance)
     return OptimizationResult(
-        value=value,
+        value=report.value,
         argmax=argmax,
         support=supports[pick],
         stationarity_residual=report.residual,
@@ -221,23 +216,18 @@ def maximize_lagrangian(
 
 
 def verify_stationarity(G: UniformHypergraph, x, tol: float) -> StationarityReport:
-    """Per-coordinate first-order residuals at a feasible point.
+    """The value and the per-coordinate first-order residuals at a feasible
+    point.
 
     On the support: |grad_i - r*value|.  Off the support: the positive part
     of grad_i - r*value, the side a maximizer must respect.
     """
     w = x.weights if isinstance(x, WeightVector) else tuple(float(v) for v in x)
     lam = float(lagrangian_value(G, w))
-    grad = _gradient(_edge_array(G), np.asarray(w, dtype=float), G.n).tolist()
-    target = G.r * lam
-    per = []
-    for wi, gi in zip(w, grad):
-        if wi > SUPPORT_EPSILON:
-            per.append(abs(gi - target))
-        else:
-            per.append(max(gi - target, 0.0))
-    residual = max(per, default=0.0)
-    return StationarityReport(residual, tuple(per), target, tol, residual <= tol)
+    xf = np.asarray(w, dtype=float)
+    per = _kkt_residuals(xf, _gradient(_edge_array(G), xf, G.n), lam, G.r)
+    residual = float(per.max(initial=0.0))
+    return StationarityReport(residual, tuple(per.tolist()), lam, tol, residual <= tol)
 
 
 def symmetry_reduce(G: UniformHypergraph) -> list[list[int]]:

@@ -14,8 +14,15 @@ from hyperlag.certify import (
     enumerate_profiles_and_bound,
     reduce_star,
 )
-from hyperlag import certify, constructions
-from hyperlag.closedform import Surd, alpha_k, exact_to_json, to_json
+from hyperlag import certify, closedform, constructions
+from hyperlag.closedform import (
+    Surd,
+    alpha_k,
+    exact_to_json,
+    theorem1_bound_poly,
+    theorem3_bound,
+    to_json,
+)
 from hyperlag.constructions import (
     PartitionPattern,
     SparseAdderParams,
@@ -111,6 +118,18 @@ def test_certify_theorem1_coarse_grid_fails():
     assert not rep.overall
 
 
+def test_certify_theorem1_fails_on_a_perturbed_bound_polynomial(monkeypatch):
+    # the a^2 b / 4 term changed to a^2 b / 5: the exact faces must notice
+    def perturbed(a, b, c, d):
+        return theorem1_bound_poly(a, b, c, d) - a * a * b / 20
+
+    monkeypatch.setattr(certify, "theorem1_bound_poly", perturbed)
+    rep = certify_theorem1(grid_resolution=20, refine_iters=20, top=5)
+    by_name = {c.case_name: c for c in rep.cases}
+    assert not by_name["c=0"].passed and not by_name["d=0"].passed
+    assert not rep.overall
+
+
 # ---------------------------------------------------------------------------
 # the alpha_k/6 certificate
 # ---------------------------------------------------------------------------
@@ -123,6 +142,19 @@ def test_certify_theorem3_k2_quick():
     assert by_name["global"].bound_found <= target + 1e-8
     assert by_name["global"].bound_found == pytest.approx(target, abs=1e-6)
     assert by_name["monotone-chain"].passed and by_name["early-collapse"].passed
+
+
+def test_certify_theorem3_fails_on_a_perturbed_bound(monkeypatch):
+    # the a^2 b / 4 term changed to a^2 b / 5, in the certificate and the chain
+    def perturbed(w, a, k):
+        return theorem3_bound(w, a, k) - a * a * (1 - w - a) / 20
+
+    monkeypatch.setattr(certify, "theorem3_bound", perturbed)
+    monkeypatch.setattr(closedform, "theorem3_bound", perturbed)
+    rep = certify_theorem3(2, grid_resolution=20, refine_iters=20, top=5)
+    by_name = {c.case_name: c for c in rep.cases}
+    assert not by_name["early-collapse"].passed and not by_name["monotone-chain"].passed
+    assert not rep.overall
 
 
 def test_certify_theorem3_rejects_small_k():

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, JSON shapes, exit codes, round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ def test_construct_b2k_and_sidecar(capsys, tmp_path):
     assert code == 0
     assert json.loads(stdout)["edges"] == 16
     assert read_hypergraph(out).m == 16
-    sidecar = json.loads(open(out + ".json").read())
+    sidecar = json.loads(Path(out + ".json").read_text())
     assert list(sidecar) == ["kind", "k", "t", "s", "c", "seed", "parts"]
     assert sidecar["parts"] == [[1, 2], [3, 6]]
 
@@ -79,7 +80,7 @@ def test_certify_t3_passes(capsys, tmp_path):
     code, _, err = run(capsys, "certify", "t3", "--k", "2", "--grid", "80",
                        "--refine-iters", "150", "--out", out)
     assert code == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert report["overall"] is True
     assert report["theorem"] == "t3" and report["k"] == 2
     assert "overall: PASS" in err

@@ -20,7 +20,6 @@ from hyperlag.closedform import (
     f_b2k_numeric_max,
     f_b2k_poly,
     f_b2k_prime,
-    f_b2k_prime_poly,
     is_non_square_4k_minus_1,
     square_free_split,
     theorem1_bound_gradient,
@@ -33,7 +32,6 @@ from hyperlag.closedform import (
     theorem3_bound_gradient,
     theorem3_cubic_part_poly,
     theorem3_g_poly,
-    theorem3_gprime_poly,
     verify_theorem1_quartic_identity,
 )
 
@@ -43,6 +41,21 @@ radicands = st.sampled_from([3, 7, 11, 15, 19])
 
 def surd(p, q, d):
     return Surd(F(p), F(q), d)
+
+
+X = RationalPolynomial((0, 1))
+
+
+def f_b2k_prime_reference(k):
+    """The derivative of the B(2k, n) limit objective, stated independently:
+    (1/4k^2 + 1/2) a^2 - (1/2k + 1) a + 1/2."""
+    return RationalPolynomial((F(1, 2), -(F(1, 2 * k) + 1), F(1, 4 * k * k) + F(1, 2)))
+
+
+def gprime_reference(k):
+    """The derivative of the chain envelope g, stated independently:
+    (1/4k^2 - 7/18) w^2 - (1/2k + 1/9) w + 5/18."""
+    return RationalPolynomial((F(5, 18), -(F(1, 2 * k) + F(1, 9)), F(1, 4 * k * k) - F(7, 18)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +129,24 @@ def test_polynomial_product_evaluates_pointwise(cs1, cs2, x):
     assert (p * q)(x) == p(x) * q(x)
 
 
-def test_polynomial_compose_and_derivative():
+def test_polynomial_substitution_and_derivative():
     p = RationalPolynomial((1, 0, 3))          # 1 + 3x^2
     inner = RationalPolynomial((2, -4))        # 2 - 4x
-    assert p.compose(inner)(F(1, 2)) == p(inner(F(1, 2)))
+    assert p(inner)(F(1, 2)) == p(inner(F(1, 2)))
+    assert p(inner) == RationalPolynomial((13, -48, 48))
     assert p.derivative() == RationalPolynomial((0, 6))
     assert RationalPolynomial(()).degree == -1
+
+
+@given(st.lists(fractions_st, max_size=5), fractions_st, fractions_st)
+def test_polynomial_divides_by_a_scalar(cs, c, x):
+    p = RationalPolynomial(tuple(cs))
+    if c == 0:
+        with pytest.raises(ZeroDivisionError):
+            p / c
+    else:
+        assert (p / c)(x) == p(x) / c
+        assert (p / c) * c == p
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +191,9 @@ def test_f_b2k_values():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_f_b2k_prime_is_formal_derivative(k):
-    assert f_b2k_poly(k).derivative() == f_b2k_prime_poly(k)
+    assert f_b2k_poly(k).derivative() == f_b2k_prime_reference(k)
+    for a in (F(0), F(1, 3), F(1)):
+        assert f_b2k_prime(a, k) == f_b2k_prime_reference(k)(a)
 
 
 def test_alpha_k_is_irrational_sampled():
@@ -191,6 +218,18 @@ def test_bound_poly_rejects_off_simplex():
         theorem1_bound_poly(0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         theorem1_bound_poly(-0.2, 0.4, 0.4, 0.4)
+    with pytest.raises(ValueError, match="identically"):
+        theorem1_bound_poly(X, X, 0, 0)
+
+
+def test_bound_polynomials_substitute_polynomial_coordinates():
+    # the c = 0 edge, and the d = 0 cubic after a = 2 - 4b, c = 3b - 1
+    assert theorem1_bound_poly(X, 1 - X, F(0), F(0)) == RationalPolynomial((0, 0, F(1, 4), F(-1, 4)))
+    assert theorem1_bound_poly(2 - 4 * X, X, 3 * X - 1, F(0)) == closedform.theorem1_d0_cubic_poly()
+    for k in (2, 3):
+        sub = theorem3_bound(X, F(1, 5), k)
+        for w in (F(0), F(1, 4), F(3, 5)):
+            assert sub(w) == theorem3_bound(w, F(1, 5), k)
 
 
 def simplex_lattice(dims, N=12):
@@ -291,7 +330,7 @@ def test_g_half_sits_below_alpha_over_6():
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_gprime_is_formal_derivative(k):
-    assert theorem3_g_poly(k).derivative() == theorem3_gprime_poly(k)
+    assert theorem3_g_poly(k).derivative() == gprime_reference(k)
 
 
 def test_k2_surd_inequality_both_forms():
@@ -307,8 +346,20 @@ def test_bound_chain_passes(k):
     assert report.ok, report.failing()
     assert {s.name for s in report.steps} == {
         "inner-maximizer", "endpoint-1/16", "gprime-positive",
-        "sampled-monotone", "half-point-bound", "peak-identity",
+        "half-point-bound", "peak-identity",
     }
+
+
+def test_bound_chain_fails_on_a_perturbed_bound(monkeypatch):
+    # the a^2 b / 4 term of the bound function, changed to a^2 b / 5
+    def perturbed(w, a, k):
+        return theorem3_bound(w, a, k) - a * a * (1 - w - a) / 20
+
+    monkeypatch.setattr(closedform, "theorem3_bound", perturbed)
+    for k in (2, 3):
+        report = theorem3_bound_chain(k)
+        assert not report.ok
+        assert report.failing() == ["inner-maximizer"]
 
 
 def test_exact_json_shape():

@@ -163,7 +163,7 @@ def test_stationarity_uniform_single_edge():
 def test_stationarity_complete5_uniform():
     rep = verify_stationarity(complete3(5), WeightVector.uniform(5), 1e-12)
     # each vertex sees 6 edges of weight 1/25 apiece; 6/25 = 3 * (2/25)
-    assert rep.r_lambda == pytest.approx(6 / 25)
+    assert rep.value == pytest.approx(2 / 25)
     assert rep.residual <= 1e-15
 
 

@@ -268,12 +268,16 @@ def _case_d0() -> CaseVerdict:
 
 
 def _case_interior() -> CaseVerdict:
+    # the resultant is stated by hand; each root point it walks must also be
+    # stationary for the bound polynomial: zero derivative along e_i - e_d
     try:
-        verify_theorem1_quartic_identity()
-        ok, detail = True, (
-            "stationarity quartic factors as 9b(5b-2)(9b-4)(3b-2); every nonzero "
-            "root forces a zero or negative coordinate"
-        )
+        moving = [p[1] for p in verify_theorem1_quartic_identity() for i in range(3)
+                  if theorem1_bound_poly(*(x + ((j == i) - (j == 3)) * _X
+                                           for j, x in enumerate(p))).derivative()(_ZERO)]
+        ok, detail = not moving, (
+            f"the root b={moving[0]} is not stationary for the bound polynomial" if moving
+            else "stationarity quartic (stated by hand) factors as 9b(5b-2)(9b-4)(3b-2); "
+            "every nonzero root is stationary and forces a zero or negative coordinate")
     except ArithmeticError as exc:  # pragma: no cover - implementation bug guard
         ok, detail = False, str(exc)
     return CaseVerdict("interior", T1_CONSTANT, float(T1_CONSTANT), "exact", ok, detail=detail)

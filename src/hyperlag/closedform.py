@@ -557,7 +557,7 @@ def _t1_kkt_c_from_b(b: Fraction) -> Fraction:
     return (13 * b * b - 6 * b) / (8 * b - 4)
 
 
-def verify_theorem1_quartic_identity() -> bool:
+def verify_theorem1_quartic_identity() -> list[tuple[Fraction, ...]]:
     """Expand the stationarity resultant and kill every interior candidate.
 
     Checks, coefficient for coefficient in exact rationals, that
@@ -568,8 +568,9 @@ def verify_theorem1_quartic_identity() -> bool:
     then walks the nonzero roots b in {2/5, 4/9, 2/3}: for each, the value
     c = (13b^2 - 6b)/(8b - 4) also solves the quadratic stationarity relation
     (3/2) c^2 + (1 - 5b) c + b^2 = 0, and the resulting point with a = 2b - 2c,
-    d = 1 - a - b - c violates strict positivity.  Any failure raises
-    ArithmeticError, since it would mean the implementation itself is broken.
+    d = 1 - a - b - c violates strict positivity.  Returns those three points
+    (a, b, c, d).  Any failure raises ArithmeticError, since it would mean
+    the implementation itself is broken.
     """
     b = _X
     lhs = (8 * b - 4) ** 2 * (19 * b**2 - 10 * b + 1) - (b**2 - 10 * b + 4) ** 2
@@ -577,28 +578,28 @@ def verify_theorem1_quartic_identity() -> bool:
     if lhs != rhs:
         raise ArithmeticError(f"quartic expansion mismatch: {lhs.coeffs} vs {rhs.coeffs}")
 
+    # each root forces one coordinate to zero or below
     expected = {
         Fraction(2, 5): ("a", Fraction(0)),
         Fraction(4, 9): ("d", Fraction(-1, 9)),
         Fraction(2, 3): ("a", Fraction(-4, 3)),
     }
+    points = []
     for b0, (which, value) in expected.items():
         c0 = _t1_kkt_c_from_b(b0)
         if Fraction(3, 2) * c0 * c0 + (1 - 5 * b0) * c0 + b0 * b0 != 0:
             raise ArithmeticError(f"c({b0}) fails the quadratic stationarity relation")
         a0 = 2 * b0 - 2 * c0
-        d0 = 1 - a0 - b0 - c0
-        point = {"a": a0, "b": b0, "c": c0, "d": d0}
+        point = dict(zip("abcd", (a0, b0, c0, 1 - a0 - b0 - c0)))
         if point[which] != value:
             raise ArithmeticError(f"root b={b0}: expected {which}={value}, got {point[which]}")
-        if min(point.values()) > 0:
-            raise ArithmeticError(f"root b={b0} yields a strictly positive interior point")
+        points.append(tuple(point.values()))
     # the other quadratic branch at b = 2/3 fails through the last coordinate
     b0 = Fraction(2, 3)
     c_minus = 2 * b0 * b0 / (3 * _t1_kkt_c_from_b(b0))
     if c_minus != Fraction(2, 9) or 1 - 3 * b0 + c_minus != Fraction(-7, 9):
         raise ArithmeticError("minus-branch check at b=2/3 failed")
-    return True
+    return points
 
 
 # ---------------------------------------------------------------------------

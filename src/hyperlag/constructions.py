@@ -318,9 +318,15 @@ def check_local_sparsity(A: UniformHypergraph, s: int) -> SparsityCheck:
     span at most v = (v - r + 2) + r - 2 vertices, and if every connected
     component of an edge set is span-safe the disjoint union is too (it only
     gains vertices).  So it suffices that every *connected* set of m edges,
-    2 <= m <= s - r + 2, spans at least m + r - 1 vertices.  Enumeration is
-    exponential in s - r, not in the number of vertices.  On failure the
-    witness is the span of the offending edge set.
+    2 <= m <= s - r + 2, spans at least m + r - 1 vertices.  Such sets are
+    enumerated by exclusive extension from their lowest edge index, each
+    carrying its vertex set.  A violating set spans at most m + r - 2 <= s
+    vertices and an edge never shrinks the span, so a set is never extended
+    by an edge that takes its span past s, nor are its descendants, which
+    are supersets.  Every ancestor of a set is a subset, so each set spanning
+    at most s is still visited once and in the same order, and the first
+    violation (its span is the witness) is the one the unpruned enumeration
+    finds.
     """
     if s < A.r:
         raise ValueError(f"s must be >= r = {A.r}, got {s}")
@@ -329,7 +335,7 @@ def check_local_sparsity(A: UniformHypergraph, s: int) -> SparsityCheck:
         return SparsityCheck(True, None)
     max_edges = s - A.r + 2
 
-    edges = A.edges
+    edges = [frozenset(e) for e in A.edges]
     touching: dict[int, set[int]] = {}
     for idx, e in enumerate(edges):
         for v in e:
@@ -339,31 +345,21 @@ def check_local_sparsity(A: UniformHypergraph, s: int) -> SparsityCheck:
         for idx, e in enumerate(edges)
     ]
 
-    def span_violation(subset: list[int]) -> tuple[int, ...] | None:
-        verts = set()
-        for idx in subset:
-            verts.update(edges[idx])
-        if len(verts) <= len(subset) + A.r - 2:
-            return tuple(sorted(verts))
-        return None
-
-    # connected-subset enumeration rooted at the lowest edge index; ``seen``
-    # holds everything ever placed in an extension list along the path, so
-    # each subset is visited exactly once (exclusive-extension scheme)
+    # ``seen``: everything ever placed in an extension list along the path
     for root in range(len(edges)):
         ext0 = [j for j in neighbors[root] if j > root]
-        stack = [([root], ext0, {root, *ext0})]
+        stack = [(edges[root], 1, ext0, {root, *ext0})]
         while stack:
-            subset, ext, seen = stack.pop()
-            if len(subset) >= 2:
-                witness = span_violation(subset)
-                if witness is not None:
-                    return SparsityCheck(False, witness)
-            if len(subset) == max_edges:
+            verts, size, ext, seen = stack.pop()
+            if len(verts) <= size + A.r - 2:  # never at size 1: r > r - 1
+                return SparsityCheck(False, tuple(sorted(verts)))
+            if size == max_edges:
                 continue
+            ext = [j for j in ext if len(verts | edges[j]) <= s]
             for pos, cand in enumerate(ext):
                 fresh = [j for j in neighbors[cand] if j > root and j not in seen]
-                stack.append((subset + [cand], ext[pos + 1:] + fresh, seen | set(fresh)))
+                stack.append((verts | edges[cand], size + 1, ext[pos + 1:] + fresh,
+                              seen | set(fresh)))
     return SparsityCheck(True, None)
 
 
@@ -375,11 +371,10 @@ def _insertion_violation(
     base = set(new_edge)
     others = [v for v in range(1, t + 1) if v not in base]
     for extra in range(1, s - r + 1):
-        allowed = r + extra - r + 1
         for added in itertools.combinations(others, extra):
             v0 = sorted(base.union(added))
             count = sum(1 for e in itertools.combinations(v0, r) if e in edge_set)
-            if count > allowed:
+            if count > extra + 1:  # |v0| - r + 1 edges allowed
                 return tuple(v0)
     return None
 

@@ -130,6 +130,18 @@ def test_certify_theorem1_fails_on_a_perturbed_bound_polynomial(monkeypatch):
     assert not rep.overall
 
 
+def test_certify_theorem1_interior_reads_the_bound_polynomial(monkeypatch):
+    # (a + b) c d changed to (a/2 + b) c d: the maximum stays 2/25 and every
+    # other case still passes, but the quartic's roots stop being stationary
+    def perturbed(a, b, c, d):
+        return theorem1_bound_poly(a, b, c, d) - a * c * d / 2
+
+    monkeypatch.setattr(certify, "theorem1_bound_poly", perturbed)
+    rep = certify_theorem1(grid_resolution=20, refine_iters=20, top=5)
+    assert [c.case_name for c in rep.cases if not c.passed] == ["interior"]
+    assert not rep.overall
+
+
 # ---------------------------------------------------------------------------
 # the alpha_k/6 certificate
 # ---------------------------------------------------------------------------

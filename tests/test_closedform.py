@@ -302,7 +302,12 @@ def test_d0_cubic_values():
 
 
 def test_quartic_identity_and_interior_contradictions():
-    assert verify_theorem1_quartic_identity()
+    # the root points (a, b, c, d) the walk returns for the interior case
+    assert verify_theorem1_quartic_identity() == [
+        (0, F(2, 5), F(2, 5), F(1, 5)),
+        (F(4, 9), F(4, 9), F(2, 9), F(-1, 9)),
+        (F(-4, 3), F(2, 3), F(4, 3), F(1, 3)),
+    ]
     # the stationarity eliminations at the roots, recomputed here from scratch
     for b, expect_c in ((F(2, 5), F(2, 5)), (F(4, 9), F(2, 9)), (F(2, 3), F(4, 3))):
         assert (13 * b * b - 6 * b) / (8 * b - 4) == expect_c

@@ -177,6 +177,45 @@ def test_pattern_edge_count_rejects_undersized_parts():
 # local sparsity
 # ---------------------------------------------------------------------------
 
+def check_local_sparsity_unpruned(A, s):
+    """The exclusive-extension enumeration without the span cap: every
+    connected set of at most s - r + 2 edges, rebuilding each set's span.
+    The reference for the order of the pruned checker, hence its witness."""
+    if s < A.r:
+        raise ValueError(f"s must be >= r = {A.r}, got {s}")
+    if s == A.r or A.m < 2:
+        return SparsityCheck(True, None)
+    max_edges = s - A.r + 2
+    edges = A.edges
+    touching = {}
+    for idx, e in enumerate(edges):
+        for v in e:
+            touching.setdefault(v, set()).add(idx)
+    neighbors = [
+        sorted(set().union(*(touching[v] for v in e)) - {idx})
+        for idx, e in enumerate(edges)
+    ]
+    for root in range(len(edges)):
+        ext0 = [j for j in neighbors[root] if j > root]
+        stack = [([root], ext0, {root, *ext0})]
+        while stack:
+            subset, ext, seen = stack.pop()
+            verts = set().union(*(edges[idx] for idx in subset))
+            if len(subset) >= 2 and len(verts) <= len(subset) + A.r - 2:
+                return SparsityCheck(False, tuple(sorted(verts)))
+            if len(subset) == max_edges:
+                continue
+            for pos, cand in enumerate(ext):
+                fresh = [j for j in neighbors[cand] if j > root and j not in seen]
+                stack.append((subset + [cand], ext[pos + 1:] + fresh, seen | set(fresh)))
+    return SparsityCheck(True, None)
+
+
+def edges_inside(A, vertices):
+    inside = set(vertices)
+    return sum(1 for e in A.edges if inside.issuperset(e))
+
+
 def test_sparsity_counterexample_with_witness():
     bad = UniformHypergraph(3, 4, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
     chk = check_local_sparsity(bad, 4)
@@ -227,6 +266,47 @@ def test_fast_checker_agrees_with_naive():
             inside = set(fast.witness)
             hits = sum(1 for e in A.edges if inside.issuperset(e))
             assert hits > len(inside) - 2
+
+
+def random_sparsity_cases(seed, count):
+    """Seeded small graphs, r in {2, 3, 4} and s from r to r + 3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.choice((2, 3, 4))
+        s = rng.randint(r, r + 3)
+        t = rng.randint(r + 1, 9)
+        pool = list(itertools.combinations(range(1, t + 1), r))
+        m = rng.randint(0, min(len(pool), 2 * t))
+        yield UniformHypergraph(r, t, rng.sample(pool, m)), s
+
+
+def test_checker_matches_naive_and_unpruned_for_r2_to_r4():
+    failures = 0
+    for A, s in random_sparsity_cases(2024, 240):
+        fast = check_local_sparsity(A, s)
+        assert fast.ok == check_local_sparsity_naive(A, s).ok
+        assert fast == check_local_sparsity_unpruned(A, s)
+        if not fast.ok:
+            failures += 1
+            assert len(fast.witness) <= s
+            assert edges_inside(A, fast.witness) > len(fast.witness) - A.r + 1
+    assert 40 < failures < 200  # both verdicts are exercised
+
+
+def test_checker_scales_to_a_1440_edge_adder_with_a_planted_violation():
+    # the unpruned enumeration needs minutes here; the span cap, well under 1 s
+    A = generate_sparse_adder(SparseAdderParams(s=4, c=0.1, t=120, seed=0))
+    assert A.m == 1440
+    assert check_local_sparsity(A, 4) == SparsityCheck(True, None)
+    # {x, y, z} plus {x, y, w} and {x, z, w}: 3 edges on 4 = s vertices, 2 allowed
+    x, y, z = A.edges[0]
+    w = next(v for v in range(1, A.n + 1) if v not in (x, y, z))
+    planted = {(x, y, z), tuple(sorted((x, y, w))), tuple(sorted((x, z, w)))}
+    B = UniformHypergraph(3, A.n, A.edge_set | planted)
+    assert B.m > A.m
+    chk = check_local_sparsity(B, 4)
+    assert not chk.ok and len(chk.witness) <= 4
+    assert edges_inside(B, chk.witness) > len(chk.witness) - 2
 
 
 # ---------------------------------------------------------------------------

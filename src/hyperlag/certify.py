@@ -1,12 +1,12 @@
 """Machine-checked certificates for the two bound constants.
 
 The 2/25 certificate walks the full stationary case analysis of the bound
-polynomial on the 4-simplex: three cases close exactly (rational or surd
-arithmetic end to end), one closes by a strict numeric gap below an exact
-majorant, the interior closes through the expanded stationarity quartic,
-and a grid-plus-refinement search over the whole simplex confirms where the
-maximum sits.  The alpha_k/6 certificate combines exact early-case
-collapses, the exact monotone chain, and the analogous numeric search.
+polynomial on the 4-simplex: the four faces close exactly (rational or surd
+arithmetic end to end; b=0 by an exact majorization onto a=0), the interior
+closes through the expanded stationarity quartic, and a grid-plus-refinement
+search over the whole simplex confirms where the maximum sits.  The
+alpha_k/6 certificate combines exact early-case collapses, the exact
+monotone chain, and the analogous numeric search.
 
 Policy throughout: a numeric search is never the bound of record on its
 own; every "<=" that matters is paired with an exact case analysis.
@@ -42,17 +42,19 @@ from .closedform import (
 from .constructions import (
     PartitionPattern,
     SparseAdderParams,
+    _require_mult_of_5,
     assemble_gstar,
     blow_up_pattern,
     build_theorem3_pattern,
     generate_sparse_adder,
-    gstar_target,
     pattern_edge_count,
     pattern_parts,
     theorem1_pattern,
 )
 from .hypercore import UniformHypergraph
-from .optimize import _LATTICE_CAP, OptimizerConfig, _ascend, iter_lattice, maximize_lagrangian
+from .optimize import (
+    _LATTICE_CAP, OptimizerConfig, _ascend, _compositions, iter_lattice, maximize_lagrangian,
+)
 # unused here, but bench/test_bench.py checks that the tracer wraps this imported name
 from .optimize import project_to_simplex  # noqa: F401
 
@@ -62,6 +64,8 @@ __all__ = [
     "DensityGainReport",
     "ProfilesReport",
     "reduce_star",
+    "family",
+    "gstar_target",
     "certify_theorem1",
     "certify_theorem3",
     "check_blowup_density_gain",
@@ -72,6 +76,32 @@ T1_CONSTANT = Fraction(2, 25)
 # the variable of the one-variable substitutions into the bound polynomials
 _X = RationalPolynomial((0, 1))
 _ZERO = Fraction(0)
+
+
+def family(kind: str, k: int | None = None) -> tuple[PartitionPattern, int, object]:
+    """The certified family behind ``kind``: its weighted pattern, the part
+    (1-based) that receives the sparse adder in G* and the star in a profile,
+    and the exact constant its certificate proves.
+
+    ``"t1"`` is the three-part pattern with part 1 and 2/25; ``"t3"`` is the
+    (2k+1)-part pattern with its apex part and alpha_k/6, for k >= 2.
+    """
+    if kind == "t1":
+        return theorem1_pattern(), 1, T1_CONSTANT
+    if kind == "t3":
+        if k is None or k < 2:
+            raise ValueError("kind 't3' needs k >= 2")
+        pattern = build_theorem3_pattern(k)
+        return pattern, pattern.num_parts, alpha_k(k) / 6
+    raise ValueError(f"unknown kind {kind!r}, expected 't1' or 't3'")
+
+
+def gstar_target(kind: str, t: int, k: int | None = None) -> tuple[PartitionPattern, int, object]:
+    """``family(kind, k)`` for a G* on t vertices; the 2/25 pattern needs t
+    to be a multiple of 5 with t >= 10."""
+    if kind == "t1":
+        _require_mult_of_5(t)
+    return family(kind, k)
 
 
 @dataclass(frozen=True)
@@ -221,22 +251,16 @@ def _case_a0() -> CaseVerdict:
     )
 
 
-def _case_b0(resolution: int, refine_iters: int, top: int) -> CaseVerdict:
-    # exact majorization: a^2 c/4 <= a^2 c/2 reduces this case to the a=0 case,
-    # so 2/25 holds of record; the numeric search documents the actual gap
-    def grad(a, c, d):
-        ga, _, gc, gd = theorem1_bound_gradient(a, 0.0, c, d)
-        return ga, gc, gd
-
-    found, pt = _grid_refine_max(
-        lambda a, c, d: theorem1_bound_poly(a, 0.0, c, d), grad, 3, resolution, refine_iters, top
-    )
-    gap = float(T1_CONSTANT) - found
-    ok = gap >= 1e-3
+def _case_b0() -> CaseVerdict:
+    # moving a's weight onto b adds exactly a^2 c/4, so the a=0 case's bound
+    # holds here; the difference has degree at most 3 in c, so the identity
+    # in X = a at four values of c proves it
+    ok = all(theorem1_bound_poly(_ZERO, _X, c, 1 - _X - c)
+             - theorem1_bound_poly(_X, _ZERO, c, 1 - _X - c) == c / 4 * _X * _X
+             for c in (Fraction(i, 4) for i in range(4)))
     return CaseVerdict(
-        "b=0", T1_CONSTANT, found, "grid+refine", ok,
-        witness=(float(pt[0]), 0.0, float(pt[1]), float(pt[2])),
-        detail=f"exactly majorized by the a=0 case; numeric peak leaves gap {gap:.6f}",
+        "b=0", T1_CONSTANT, float(T1_CONSTANT), "exact", ok,
+        detail="f(0, a, c, d) - f(a, 0, c, d) = a^2 c/4 >= 0: majorized by the a=0 case",
     )
 
 
@@ -306,8 +330,8 @@ def certify_theorem1(
 ) -> CertificateReport:
     """Certify that the bound polynomial never exceeds 2/25 on the simplex.
 
-    Exact cases: c=0, a=0, d=0 and the interior quartic.  The b=0 case is
-    exactly majorized by the a=0 case and additionally searched numerically.
+    Exact cases: c=0, a=0, d=0, the interior quartic, and b=0, which is
+    exactly majorized by the a=0 case.
     The global grid+refine search must land on 2/25 at (0, 0.4, 0.4, 0.2).
     Optionally also optimizes every part-size profile up to ``profile_s``.
     """
@@ -316,7 +340,7 @@ def certify_theorem1(
     cases = [
         _case_c0(),
         _case_a0(),
-        _case_b0(max(grid_resolution, 120), refine_iters, top),
+        _case_b0(),
         _case_d0(),
         _case_interior(),
         _case_t1_global(grid_resolution, refine_iters, tol, top),
@@ -474,14 +498,12 @@ def check_blowup_density_gain(
     also carries the ideal t^2 shortfall for comparison.  All margins are
     exact: rational for the 2/25 family, surd-signed for alpha_k/6.
     """
-    pattern, part = gstar_target(kind, t, k)
+    pattern, part, target = gstar_target(kind, t, k)
     lo, hi = pattern_parts(pattern, t)[part - 1]
     if kind == "t1":
-        target = T1_CONSTANT
         deficit_ideal = Fraction(3 * t * t, 25)
         recipe_edges = (2 * t // 5) ** 2
     else:
-        target = alpha_k(k) / 6
         deficit_ideal = theorem3_c0(k) * (t * t)
         recipe_edges = k * (hi - lo + 1) ** 2
     # a template inside the part puts every r-subset of it in the base, so
@@ -547,31 +569,37 @@ def _profile_graph(
     return reduce_star(blow_up_pattern(pattern, profile), range(lo, lo + profile[part - 1]))
 
 
-def _t1_profiles(s: int):
-    for s1 in range(s + 1):
-        for s2 in range(s - s1 + 1):
-            for s3 in range(s - s1 - s2 + 1):
-                if s1 + s2 + s3 >= 1:
-                    yield (s1, s2, s3)
+def _part_classes(pattern: PartitionPattern, part: int) -> list[list[int]]:
+    """Classes of interchangeable parts: two parts, neither of them ``part``,
+    are interchangeable when swapping them maps the template set onto itself.
+    Such swaps compose, so each part is compared only with the first member
+    of each class.  ``part`` is in no class."""
+    templates = set(pattern.templates)
+    classes: list[list[int]] = []
+    for i in range(1, pattern.num_parts + 1):
+        if i == part:
+            continue
+        for cls in classes:
+            swap = {i: cls[0], cls[0]: i}
+            if {tuple(sorted(swap.get(x, x) for x in t)) for t in templates} == templates:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
 
 
-def _t3_profiles(k: int, s: int):
-    """Profiles up to total size s, first 2k parts canonicalized descending
-    (they are interchangeable, so only one representative is optimized)."""
-    def partitions(total: int, parts: int, cap: int):
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(min(total, cap), -1, -1):
-            for rest in partitions(total - first, parts - 1, first):
-                yield (first,) + rest
-
-    for first_total in range(s + 1):
-        for shape in partitions(first_total, 2 * k, first_total):
-            for apex in range(s - first_total + 1):
-                if first_total + apex >= 1:
-                    yield shape + (apex,)
+def _profiles(pattern: PartitionPattern, part: int, s: int) -> list[tuple[int, ...]]:
+    """Part-size profiles of total size 1..s in sorted order, one per orbit
+    of the part swaps: sizes never increase within a class of interchangeable
+    parts."""
+    chains = [(a - 1, b - 1) for cls in _part_classes(pattern, part) for a, b in zip(cls, cls[1:])]
+    return sorted(
+        profile
+        for total in range(1, s + 1)
+        for profile in map(tuple, _compositions(pattern.num_parts, total).tolist())
+        if all(profile[a] >= profile[b] for a, b in chains)
+    )
 
 
 def enumerate_profiles_and_bound(
@@ -590,19 +618,9 @@ def enumerate_profiles_and_bound(
     """
     _require_profile_budget(s)
     cfg = cfg or OptimizerConfig(restarts=6, max_iters=300, seed=1)
-    if kind == "t1":
-        constant = float(T1_CONSTANT)
-        profiles = list(_t1_profiles(s))
-        pattern, part = theorem1_pattern(), 1
-    elif kind == "t3":
-        if k is None or k < 2:
-            raise ValueError("kind 't3' needs k >= 2")
-        constant = float(alpha_k(k)) / 6
-        profiles = list(_t3_profiles(k, s))
-        pattern = build_theorem3_pattern(k)
-        part = pattern.num_parts
-    else:
-        raise ValueError(f"unknown kind {kind!r}, expected 't1' or 't3'")
+    pattern, part, constant = family(kind, k)
+    constant = float(constant)
+    profiles = _profiles(pattern, part, s)
 
     worst_value, worst_profile = -1.0, None
     violations = []

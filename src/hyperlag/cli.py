@@ -120,7 +120,7 @@ def cmd_construct(args) -> int:
 
 
 def _build_gstar(args):
-    pattern, part = constructions.gstar_target(args.kind, args.t, args.k)
+    pattern, part, _ = certify.gstar_target(args.kind, args.t, args.k)
     base = constructions.instantiate_pattern(pattern, args.t)
     parts = constructions.pattern_parts(pattern, args.t)
     lo, hi = parts[part - 1]

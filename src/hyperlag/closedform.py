@@ -693,8 +693,7 @@ def theorem3_bound_chain(k: int) -> ChainReport:
       (iii) g' stays positive on [0, 1/2]: it is a concave quadratic with
             positive values at both endpoints;
       (iv)  g(1/2) equals f_b2k(1/2, k) exactly and sits strictly below
-            alpha_k / 6 (surd comparison);
-      (v)   6 f_b2k(a*, k) equals alpha_k exactly in surd arithmetic.
+            alpha_k / 6 (surd comparison).
     """
     if k < 2:
         raise ValueError(f"chain requires k >= 2, got {k}")
@@ -736,10 +735,5 @@ def theorem3_bound_chain(k: int) -> ChainReport:
         ok_iv,
         f"g(1/2) = {g_half} = f_b2k(1/2) <= alpha_k/6 (strict)",
     ))
-
-    # (v) the peak identity tying f_b2k to alpha_k
-    astar = astar_weight(k)
-    ok_v = 6 * f_b2k(astar, k) == alpha_k(k) and f_b2k_prime(astar, k) == Surd(Fraction(0))
-    steps.append(ChainStep("peak-identity", ok_v, "6 f(a*) = alpha_k and f'(a*) = 0, exactly"))
 
     return ChainReport(k=k, steps=tuple(steps), ok=all(s.ok for s in steps))

@@ -41,7 +41,6 @@ __all__ = [
     "check_local_sparsity_naive",
     "generate_sparse_adder",
     "assemble_gstar",
-    "gstar_target",
     "construction_metadata",
 ]
 
@@ -276,21 +275,6 @@ def pattern_edge_count(pattern: PartitionPattern, t: int) -> int:
         math.prod(math.comb(sizes[part - 1], need) for part, need in _demand(template))
         for template in pattern.templates
     )
-
-
-def gstar_target(kind: str, t: int, k: int | None = None) -> tuple[PartitionPattern, int]:
-    """The pattern that G* blows up on t vertices and the part (1-based) that
-    receives the adder: part 1 of the 2/25 pattern (t a multiple of 5), or
-    the apex part of the alpha_k/6 pattern."""
-    if kind == "t1":
-        _require_mult_of_5(t)
-        return theorem1_pattern(), 1
-    if kind == "t3":
-        if k is None or k < 2:
-            raise ValueError("kind 't3' needs k >= 2")
-        pattern = build_theorem3_pattern(k)
-        return pattern, pattern.num_parts
-    raise ValueError(f"unknown kind {kind!r}, expected 't1' or 't3'")
 
 
 # ---------------------------------------------------------------------------

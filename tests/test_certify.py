@@ -1,6 +1,7 @@
 """Certification pipelines: star reduction, case analyses, density gain, profiles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,7 +15,7 @@ from hyperlag.certify import (
     enumerate_profiles_and_bound,
     reduce_star,
 )
-from hyperlag import certify, closedform, constructions
+from hyperlag import certify, closedform
 from hyperlag.closedform import (
     Surd,
     alpha_k,
@@ -94,7 +95,7 @@ def test_certify_theorem1_quick():
     assert by_name["global"].bound_found == pytest.approx(0.08, abs=1e-9)
     assert by_name["c=0"].bound_found == pytest.approx(1 / 27)
     assert by_name["d=0"].bound_found < 0.076
-    assert by_name["b=0"].bound_found < 0.08 - 1e-3
+    assert by_name["b=0"].method == "exact"
     blob = to_json(rep)
     assert blob["overall"] and blob["theorem"] == "t1"
 
@@ -131,14 +132,27 @@ def test_certify_theorem1_fails_on_a_perturbed_bound_polynomial(monkeypatch):
 
 
 def test_certify_theorem1_interior_reads_the_bound_polynomial(monkeypatch):
-    # (a + b) c d changed to (a/2 + b) c d: the maximum stays 2/25 and every
-    # other case still passes, but the quartic's roots stop being stationary
+    # (a + b) c d changed to (a/2 + b) c d: the maximum stays 2/25 and the
+    # other faces still pass, but the quartic's roots stop being stationary
+    # and moving a's weight onto b no longer adds exactly a^2 c/4
     def perturbed(a, b, c, d):
         return theorem1_bound_poly(a, b, c, d) - a * c * d / 2
 
     monkeypatch.setattr(certify, "theorem1_bound_poly", perturbed)
     rep = certify_theorem1(grid_resolution=20, refine_iters=20, top=5)
-    assert [c.case_name for c in rep.cases if not c.passed] == ["interior"]
+    assert [c.case_name for c in rep.cases if not c.passed] == ["b=0", "interior"]
+    assert not rep.overall
+
+
+def test_certify_theorem1_b0_reads_the_bound_polynomial(monkeypatch):
+    # the b^2 c / 2 term changed to 2 b^2 c / 5: the b=0 majorization identity breaks
+    def perturbed(a, b, c, d):
+        return theorem1_bound_poly(a, b, c, d) - b * b * c / 10
+
+    monkeypatch.setattr(certify, "theorem1_bound_poly", perturbed)
+    rep = certify_theorem1(grid_resolution=20, refine_iters=20, top=5)
+    by_name = {c.case_name: c for c in rep.cases}
+    assert not by_name["b=0"].passed
     assert not rep.overall
 
 
@@ -253,7 +267,7 @@ def test_density_gain_refuses_a_template_inside_the_target_part(monkeypatch):
     real = build_theorem3_pattern(2)
     apex = real.num_parts
     inside = PartitionPattern(real.r, real.part_weights, real.templates + ((apex,) * 3,))
-    monkeypatch.setattr(constructions, "build_theorem3_pattern", lambda k: inside)
+    monkeypatch.setattr(certify, "build_theorem3_pattern", lambda k: inside)
     with pytest.raises(ValueError, match="inside the target part"):
         check_blowup_density_gain("t3", 60, s=3, c=2.0, seed=3, k=2)
     # the guard refuses exactly what assembling G* would refuse
@@ -268,6 +282,90 @@ def test_density_gain_rejects_bad_kind():
         check_blowup_density_gain("t2", 25)
     with pytest.raises(ValueError):
         check_blowup_density_gain("t3", 60)   # missing k
+    with pytest.raises(ValueError, match="k >= 2"):
+        check_blowup_density_gain("t3", 60, k=1)
+    with pytest.raises(ValueError, match="multiple of 5"):
+        check_blowup_density_gain("t1", 23)
+
+
+# ---------------------------------------------------------------------------
+# the certified families
+# ---------------------------------------------------------------------------
+
+def _pattern_lagrangian(pattern):
+    """Exact limit Lagrangian of the pattern at its own part weights: the sum
+    over templates of prod w_i^m_i / m_i!."""
+    total = F(0)
+    for template in pattern.templates:
+        term = F(1)
+        for part in set(template):
+            m = template.count(part)
+            term = math.prod([pattern.part_weights[part - 1]] * m, start=term) / math.factorial(m)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("kind,k", [("t1", None)] + [("t3", k) for k in range(2, 7)])
+def test_family_constant_is_attained_by_its_pattern(kind, k):
+    pattern, part, constant = certify.family(kind, k)
+    assert constant == (F(2, 25) if kind == "t1" else alpha_k(k) / 6)
+    assert _pattern_lagrangian(pattern) == constant
+
+
+def test_part_classes():
+    assert certify._part_classes(theorem1_pattern(), 1) == [[2], [3]]
+    for k in (2, 3, 4):
+        pattern = build_theorem3_pattern(k)
+        assert certify._part_classes(pattern, pattern.num_parts) == [list(range(1, 2 * k + 1))]
+    # every swap of the complete 3-partite pattern is an automorphism, yet
+    # the special part is never merged
+    complete = PartitionPattern(3, (F(1, 3),) * 3, ((1, 2, 3),))
+    assert certify._part_classes(complete, 2) == [[1, 3]]
+
+
+def _t1_profiles(s):
+    """Hand-written reference: every (s1, s2, s3) of total size 1..s."""
+    for s1 in range(s + 1):
+        for s2 in range(s - s1 + 1):
+            for s3 in range(s - s1 - s2 + 1):
+                if s1 + s2 + s3 >= 1:
+                    yield (s1, s2, s3)
+
+
+def _t3_profiles(k, s):
+    """Hand-written reference: profiles up to total size s, the first 2k
+    parts canonicalized descending."""
+    def partitions(total, parts, cap):
+        if parts == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(min(total, cap), -1, -1):
+            for rest in partitions(total - first, parts - 1, first):
+                yield (first,) + rest
+
+    for first_total in range(s + 1):
+        for shape in partitions(first_total, 2 * k, first_total):
+            for apex in range(s - first_total + 1):
+                if first_total + apex >= 1:
+                    yield shape + (apex,)
+
+
+@pytest.mark.parametrize("s,count", [(3, 19), (4, 34), (5, 55), (6, 83), (7, 119)])
+def test_t1_profiles_match_the_reference(s, count):
+    pattern, part, _ = certify.family("t1")
+    profiles = certify._profiles(pattern, part, s)
+    assert profiles == list(_t1_profiles(s))
+    assert len(profiles) == count
+
+
+@pytest.mark.parametrize("k,counts", [(2, (13, 25, 43, 70)), (3, (13, 25, 44, 74))])
+def test_t3_profiles_match_the_reference(k, counts):
+    pattern, part, _ = certify.family("t3", k)
+    for s, count in zip(range(3, 7), counts):
+        profiles = certify._profiles(pattern, part, s)
+        assert set(profiles) == set(_t3_profiles(k, s))
+        assert len(profiles) == count == len(set(profiles))
 
 
 # ---------------------------------------------------------------------------

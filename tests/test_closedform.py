@@ -350,8 +350,7 @@ def test_bound_chain_passes(k):
     report = theorem3_bound_chain(k)
     assert report.ok, report.failing()
     assert {s.name for s in report.steps} == {
-        "inner-maximizer", "endpoint-1/16", "gprime-positive",
-        "half-point-bound", "peak-identity",
+        "inner-maximizer", "endpoint-1/16", "gprime-positive", "half-point-bound",
     }
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,6 +74,8 @@ __all__ = [
 ]
 
 T1_CONSTANT = Fraction(2, 25)
+# the largest lattice a grid+refine search scores, a few seconds of work
+GRID_POINTS_MAX = 50_000_000
 # the variable of the one-variable substitutions into the bound polynomials
 _X = RationalPolynomial((0, 1))
 _ZERO = Fraction(0)
@@ -151,9 +154,13 @@ def reduce_star(M: UniformHypergraph, part: Sequence[int]) -> UniformHypergraph:
 # Grid + refinement machinery
 # ---------------------------------------------------------------------------
 
-def _require_grid(resolution: int) -> None:
+def _require_grid(resolution: int, dims: int) -> None:
     if resolution < 1:
         raise ValueError(f"grid_resolution must be >= 1, got {resolution}")
+    points = comb(resolution + dims - 1, dims - 1)
+    if points > GRID_POINTS_MAX:
+        raise ValueError(f"grid_resolution {resolution} gives {points:,} lattice points in "
+                         f"{dims} coordinates, more than the {GRID_POINTS_MAX:,} searched")
 
 
 def _require_profile_budget(s: int | None) -> None:
@@ -171,11 +178,9 @@ def _grid_refine_max(
     cap: int = _LATTICE_CAP,
 ) -> tuple[float, np.ndarray]:
     """Maximize fn over the simplex: score every barycentric lattice point,
-    then run projected ascent from the ``top`` best until a step gains at
-    most 1e-17.
-
-    ``fn`` and ``grad`` take one argument per coordinate: numpy columns on
-    the lattice, floats during the ascent."""
+    in chunks of at most ``cap`` points, then run projected ascent from the
+    ``top`` best, as one batch, until a step gains at most 1e-17.  ``fn``
+    and ``grad`` take one numpy column per coordinate, one point per row."""
     best_vals, best_pts = np.empty(0), np.empty((0, dims))
     for chunk in iter_lattice(dims, resolution, cap):
         pts = chunk.astype(float) / resolution
@@ -187,18 +192,14 @@ def _grid_refine_max(
             keep = np.argpartition(best_vals, -top)[-top:]
             best_vals, best_pts = best_vals[keep], best_pts[keep]
     candidates = best_pts[np.argsort(best_vals)[::-1]]
-    best_val, best_pt = float(best_vals.max()), candidates[0]
-    for pt in candidates:
-        x, fx, _ = _ascend(
-            lambda x: fn(*x.tolist()),
-            lambda x: np.array(grad(*x.tolist())),
-            pt,
-            refine_iters,
-            lambda x, fx, g, gain: gain <= 1e-17,
-        )
-        if fx > best_val:
-            best_val, best_pt = fx, x
-    return best_val, best_pt
+    X, F, _ = _ascend(lambda P: fn(*P.T),
+                      lambda P: np.column_stack(np.broadcast_arrays(*grad(*P.T))),
+                      candidates, refine_iters, lambda P, vals, G, gain: gain <= 1e-17)
+    # a refined point wins only when strictly better; of equal ones, the first
+    best = int(np.argmax(F))
+    if F[best] > best_vals.max():
+        return float(F[best]), X[best]
+    return float(best_vals.max()), candidates[0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +336,7 @@ def certify_theorem1(
     The global grid+refine search must land on 2/25 at (0, 0.4, 0.4, 0.2).
     Optionally also optimizes every part-size profile up to ``profile_s``.
     """
-    _require_grid(grid_resolution)
+    _require_grid(grid_resolution, 4)
     _require_profile_budget(profile_s)
     cases = [
         _case_c0(),
@@ -430,7 +431,7 @@ def certify_theorem3(
     """Certify that the (2k+1)-part bound function stays at or below alpha_k/6."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    _require_grid(grid_resolution)
+    _require_grid(grid_resolution, 3)
     _require_profile_budget(profile_s)
     target = alpha_k(k) / 6
     found, pt = _grid_refine_max(

@@ -1,20 +1,18 @@
 """Maximizing the Lagrangian over the simplex.
 
 Multi-start projected gradient ascent with backtracking line search is the
-workhorse; a brute-force lattice oracle over barycentric grid points gives
-an independent exact-rational cross-check on small instances; first-order
-stationarity can be verified at any point.  The ascent reports a certified
-lower bound on the true maximum together with convergence diagnostics;
-upper-bound claims belong to the certification pipelines, never to the
-heuristic search.
+workhorse, all restarts ascending together as the rows of one matrix; a
+brute-force lattice oracle over barycentric grid points gives an
+exact-rational cross-check on small instances; first-order stationarity
+can be verified at any point.  The ascent reports a certified lower bound
+on the true maximum together with convergence diagnostics; upper-bound
+claims belong to the certification pipelines, never to the heuristic search.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -81,13 +79,16 @@ class OptimizationResult:
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1}; sort-based, O(n log n)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = idx[u - css / idx > 0][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+    """Euclidean projection onto {x >= 0, sum x = 1} of a vector, or of each
+    row of a matrix by the same operations; sort-based, O(n log n) a row."""
+    V = np.atleast_2d(v)
+    n = V.shape[1]
+    u = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    # rho: the last index where u - css/idx > 0, the first from the right
+    rho = n - np.argmax((u - css / np.arange(1, n + 1) > 0)[:, ::-1], axis=1)
+    theta = css.ravel()[np.arange(0, css.size, n) + rho - 1] / rho
+    return np.maximum(V - theta[:, None], 0.0).reshape(v.shape)
 
 
 def _edge_array(G: UniformHypergraph) -> np.ndarray:
@@ -96,19 +97,30 @@ def _edge_array(G: UniformHypergraph) -> np.ndarray:
     return np.asarray(G.edges, dtype=np.int64) - 1
 
 
-def _gradient(E: np.ndarray, x: np.ndarray, n: int, coef: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of sum over rows of coef * prod x[row]; a repeated entry in a
-    row is differentiated once per occurrence."""
-    X = x[E]
-    grad = np.zeros(n)
-    r = E.shape[1]
+def _value(E: np.ndarray, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Sum over rows of coef * prod x[row], the product left to right, at a
+    point or at each row of a matrix; ``np.take`` keeps C order, so a matrix
+    row sums in the same order as a point."""
+    prod = np.take(x, E[:, 0], axis=-1)
+    for col in E.T[1:]:
+        prod *= np.take(x, col, axis=-1)
+    return np.multiply(prod, coef, out=prod).sum(axis=-1)
+
+
+def _gradient(E: np.ndarray, x: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of sum over rows of coef * prod x[row], at a point or at each
+    row of a matrix; a repeated entry in a row is differentiated once per
+    occurrence.  The terms go into one flat array, row b at offset b*n."""
+    n, r = x.shape[-1], E.shape[1]
+    grad, offsets = np.zeros(x.size), n * np.arange(x.size // n)[:, None]
     for c in range(r):
-        others = np.ones(E.shape[0]) if coef is None else coef.copy()
+        # coef * x_a * x_b * ..., in place: one (rows, edges) array at a time
+        others = np.broadcast_to(1.0 if coef is None else coef, x.shape[:-1] + E.shape[:1]).copy()
         for c2 in range(r):
             if c2 != c:
-                others *= X[:, c2]
-        np.add.at(grad, E[:, c], others)
-    return grad
+                others *= np.take(x, E[:, c2], axis=-1)
+        np.add.at(grad, (E[:, c] + offsets).ravel(), others.ravel())
+    return grad.reshape(x.shape)
 
 
 def _kkt_residuals(x: np.ndarray, grad: np.ndarray, lam: float, r: int) -> np.ndarray:
@@ -118,45 +130,51 @@ def _kkt_residuals(x: np.ndarray, grad: np.ndarray, lam: float, r: int) -> np.nd
     return np.where(x > SUPPORT_EPSILON, np.abs(excess), np.maximum(excess, 0.0))
 
 
-def _ascend(value, gradient, x0: np.ndarray, max_iters: int, done):
-    """Projected gradient ascent on the simplex from x0.
+def _ascend(value, gradient, X0: np.ndarray, max_iters: int, done):
+    """Projected gradient ascent on the simplex from every row of X0 at once.
 
-    Each step halves a trial step from 1.0 down to 1e-13 until the Armijo
-    test accepts the projected point.  ``done(x, fx, g, gain)`` is the
-    caller's stop rule, asked before every step; ``gain`` is what the last
-    accepted step added (inf before the first).  Returns (x, value, done)
-    at the stop, when the line search stalls or after ``max_iters`` steps.
+    ``value`` and ``gradient`` map a (B, d) matrix of points to B values and
+    B gradient rows.  Each row halves its own trial step from 1.0 down to
+    1e-13 until the Armijo test accepts its projected point, and counts its
+    own steps, so it ends exactly where an ascent from it alone ends.
+    ``done(X, F, G, gain)`` is the caller's stop rule per row, asked before
+    every step; ``gain`` is what the row's last accepted step added (inf
+    before the first).  Returns the arrays (X, values, done) at each row's
+    stop, when its line search stalls or after ``max_iters`` steps.
     """
-    x, fx, g, gain = x0, value(x0), gradient(x0), np.inf
-    for _ in range(max_iters):
-        if done(x, fx, g, gain):
-            return x, fx, True
-        step = 1.0
-        while step > 1e-13:
-            cand = project_to_simplex(x + step * g)
-            fc = value(cand)
-            if fc >= fx + _ARMIJO * float(g @ (cand - x)):
-                break
-            step /= 2.0
-        else:
-            break
-        x, fx, gain = cand, fc, fc - fx
-        g = gradient(x)
-    return x, fx, done(x, fx, g, gain)
+    x, B = np.array(X0, dtype=float), len(X0)
+    fx, g, gain, step = value(x), gradient(x), np.full(B, np.inf), np.ones(B)
+    live, iters, ok = np.arange(B), np.zeros(B, dtype=np.int64), np.ones(B, dtype=bool)
+    X, F, D = np.empty_like(x), np.empty_like(fx), np.empty(B, dtype=bool)
+    while True:
+        # the stop rule counts where a step was accepted or a line search stalled
+        stalled = step <= 1e-13
+        d = done(x, fx, g, gain) if (ok | stalled).any() else ok
+        stop = stalled | ok & (d | (iters == max_iters))
+        if stop.any():
+            X[live[stop]], F[live[stop]], D[live[stop]] = x[stop], fx[stop], d[stop]
+            x, fx, g, gain, step, iters, live = (
+                a[~stop] for a in (x, fx, g, gain, step, iters, live))
+            if not live.size:
+                return X, F, D
+        cand = project_to_simplex(x + step[:, None] * g)
+        fc = value(cand)
+        ok = fc >= fx + _ARMIJO * (g[:, None, :] @ (cand - x)[:, :, None])[:, 0, 0]
+        if ok.all():
+            x, fx, gain, g = cand, fc, fc - fx, gradient(cand)
+        elif ok.any():
+            x[ok], gain[ok], fx[ok] = cand[ok], fc[ok] - fx[ok], fc[ok]
+            g[ok] = gradient(x[ok])
+        iters += ok
+        step = np.where(ok, 1.0, step / 2.0)
 
 
-def _starting_points(sizes: np.ndarray, owner: np.ndarray, cfg: OptimizerConfig) -> list[np.ndarray]:
-    n = owner.size
-    starts = [np.full(n, 1.0 / n)]
-    for c in range(min(sizes.size, cfg.restarts - 1)):
-        x = np.zeros(n)
-        x[owner == c] = 1.0 / sizes[c]
-        starts.append(x)
-    idx = len(starts)
-    while len(starts) < cfg.restarts:
-        rng = np.random.default_rng((cfg.seed, idx))
-        starts.append(rng.dirichlet(np.ones(n)))
-        idx += 1
+def _starting_points(sizes: np.ndarray, owner: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
+    n, classes = owner.size, min(sizes.size, cfg.restarts - 1)
+    starts = np.full((cfg.restarts, n), 1.0 / n)
+    starts[1:classes + 1] = (owner == np.arange(classes)[:, None]) / sizes[:classes, None]
+    for idx in range(classes + 1, cfg.restarts):
+        starts[idx] = np.random.default_rng((cfg.seed, idx)).dirichlet(np.ones(n))
     return starts
 
 
@@ -184,33 +202,37 @@ def maximize_lagrangian(
         return OptimizationResult(0.0, wv, tuple(range(1, G.n + 1)), 0.0, cfg.restarts, True)
 
     T, coef, sizes, owner = quotient(G)
+    T = np.asfortranarray(T)  # each column contiguous, for the gathers
     k = sizes.size
+    if k == G.n:  # twin-free: every class is one vertex and owner the identity
+        classes = spread = lambda X: X
+    else:
+        # the class sums of every row in one bincount, over row-offset labels
+        labels = (owner + k * np.arange(cfg.restarts)[:, None]).ravel()
+        classes = lambda X: np.bincount(labels[: X.size], X.ravel(), len(X) * k).reshape(-1, k)
+        spread = lambda Y: Y[:, owner]
 
-    def ascend(x0):
-        x, lam, conv = _ascend(
-            lambda x: float((coef * np.bincount(owner, x, k)[T].prod(axis=1)).sum()),
-            lambda x: _gradient(T, np.bincount(owner, x, k), k, coef)[owner],
-            x0,
-            cfg.max_iters,
-            lambda x, fx, g, gain: _kkt_residuals(x, g, fx, G.r).max() <= cfg.tolerance,
-        )
-        return (np.bincount(owner, x, k) / sizes)[owner], lam, conv
+    X, lam, conv = _ascend(
+        lambda X: _value(T, classes(X), coef),
+        lambda X: spread(_gradient(T, classes(X), coef)),
+        _starting_points(sizes, owner, cfg),
+        cfg.max_iters,
+        lambda X, F, g, gain: _kkt_residuals(X, g, F[:, None], G.r).max(axis=1) <= cfg.tolerance,
+    )
+    X = spread(classes(X) / sizes)
 
-    runs = [ascend(s) for s in _starting_points(sizes, owner, cfg)]
+    candidates = np.flatnonzero(lam >= lam.max() - 1e-12)
+    supports = [tuple((np.flatnonzero(x > SUPPORT_EPSILON) + 1).tolist()) for x in X]
+    pick = min(candidates, key=lambda i: supports[i])
 
-    best_lam = max(lam for _, lam, _ in runs)
-    candidates = [(x, lam) for x, lam, _ in runs if lam >= best_lam - 1e-12]
-    supports = [tuple(int(i) + 1 for i in np.flatnonzero(x > SUPPORT_EPSILON)) for x, _ in candidates]
-    pick = min(range(len(candidates)), key=lambda i: supports[i])
-
-    argmax = WeightVector(tuple(float(v) for v in candidates[pick][0]))
+    argmax = WeightVector(tuple(float(v) for v in X[pick]))
     report = verify_stationarity(G, argmax, cfg.tolerance)
     return OptimizationResult(
         value=report.value,
         argmax=argmax,
         support=supports[pick],
         stationarity_residual=report.residual,
-        starts_converged=sum(1 for _, _, conv in runs if conv),
+        starts_converged=int(conv.sum()),
         converged=report.passed,
     )
 
@@ -225,7 +247,7 @@ def verify_stationarity(G: UniformHypergraph, x, tol: float) -> StationarityRepo
     w = x.weights if isinstance(x, WeightVector) else tuple(float(v) for v in x)
     lam = float(lagrangian_value(G, w))
     xf = np.asarray(w, dtype=float)
-    per = _kkt_residuals(xf, _gradient(_edge_array(G), xf, G.n), lam, G.r)
+    per = _kkt_residuals(xf, _gradient(_edge_array(G), xf), lam, G.r)
     residual = float(per.max(initial=0.0))
     return StationarityReport(residual, tuple(per.tolist()), lam, tol, residual <= tol)
 
@@ -290,32 +312,26 @@ def quotient(G: UniformHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 # Brute-force lattice oracle
 # ---------------------------------------------------------------------------
 
-_LATTICE_CAP = 2_000_000
+_LATTICE_CAP = 2**16
 
 
-@lru_cache(maxsize=8)
 def _compositions(n: int, total: int) -> np.ndarray:
-    """All nonnegative integer n-vectors summing to total, one per row.
+    """All nonnegative integer n-vectors summing to total, one per row, in
+    lexicographic order.
 
-    Stars and bars: bar positions are (n-1)-subsets of 0..total+n-2 and the
-    row entries are the gaps between consecutive bars.
+    Built one column at a time: a row whose entries so far leave ``rest``
+    is repeated rest + 1 times, and its next entry counts 0..rest along that
+    run (the run's position minus the run's cumsum offset); the last entry
+    is what is left.
     """
-    if n == 1:
-        out = np.array([[total]], dtype=np.int64)
-    else:
-        bars = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(total + n - 1), n - 1)),
-            dtype=np.int64,
-        ).reshape(-1, n - 1)
-        rows = bars.shape[0]
-        padded = np.hstack([
-            np.full((rows, 1), -1, dtype=np.int64),
-            bars,
-            np.full((rows, 1), total + n - 1, dtype=np.int64),
-        ])
-        out = np.diff(padded, axis=1) - 1
-    out.flags.writeable = False
-    return out
+    cols, rest = [], np.array([total], dtype=np.int64)
+    for _ in range(n - 1):
+        runs = rest + 1
+        offsets = np.repeat(np.cumsum(runs) - runs, runs)
+        entry = np.arange(offsets.size) - offsets
+        cols = [np.repeat(col, runs) for col in cols] + [entry]
+        rest = np.repeat(rest, runs) - entry
+    return np.column_stack(cols + [rest])
 
 
 def iter_lattice(n: int, total: int, cap: int = _LATTICE_CAP):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, JSON shapes, exit codes, round-trips."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,17 @@ def test_certify_t1_coarse_grid_exits_2(capsys):
     code, stdout, _ = run(capsys, "certify", "t1", "--grid", "2", "--refine-iters", "0")
     assert code == 2
     assert json.loads(stdout)["overall"] is False
+
+
+@pytest.mark.parametrize("argv, points", [
+    (("certify", "t1", "--grid", "5000"), "20,858,342,501 lattice points"),
+    (("certify", "t3", "--k", "2", "--grid", "20000"), "200,030,001 lattice points"),
+])
+def test_certify_refuses_a_huge_grid_before_scanning(capsys, argv, points):
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and points in err and stdout == ""
 
 
 def test_certify_t3_requires_k(capsys):

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hyperlag.closedform import alpha_k, to_json
+from hyperlag.closedform import alpha_k, theorem1_bound_gradient, theorem1_bound_poly, to_json
 from hyperlag.constructions import (
     PartitionPattern,
     blow_up_pattern,
@@ -24,8 +26,12 @@ from hyperlag.hypercore import (
     link_difference,
 )
 from hyperlag.optimize import (
+    _ARMIJO,
     OptimizerConfig,
+    _ascend,
+    _compositions,
     _edge_array,
+    _kkt_residuals,
     grid_oracle,
     maximize_lagrangian,
     project_to_simplex,
@@ -345,8 +351,111 @@ def test_edge_addition_monotone():
         assert maximize_lagrangian(G2, CFG).value >= maximize_lagrangian(G1, CFG).value - 1e-9
 
 
+def compositions_reference(n, total):
+    """The stars-and-bars builder the numpy one replaced: bar positions are
+    the (n-1)-subsets of 0..total+n-2 in lexicographic order, and the row
+    entries are the gaps between consecutive bars."""
+    if n == 1:
+        return np.array([[total]], dtype=np.int64)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(total + n - 1), n - 1)),
+        dtype=np.int64,
+    ).reshape(-1, n - 1)
+    rows = bars.shape[0]
+    padded = np.hstack([
+        np.full((rows, 1), -1, dtype=np.int64),
+        bars,
+        np.full((rows, 1), total + n - 1, dtype=np.int64),
+    ])
+    return np.diff(padded, axis=1) - 1
+
+
+def project_reference(v):
+    """The one-vector projection the row-wise one replaced."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, v.size + 1)
+    rho = idx[u - css / idx > 0][-1]
+    return np.maximum(v - css[rho - 1] / rho, 0.0)
+
+
+def ascend_reference(value, gradient, x0, max_iters, done):
+    """The one-start Armijo ascent the batched kernel replaced."""
+    x, fx, g, gain = x0, value(x0), gradient(x0), np.inf
+    for _ in range(max_iters):
+        if done(x, fx, g, gain):
+            return x, fx, True
+        step = 1.0
+        while step > 1e-13:
+            cand = project_reference(x + step * g)
+            fc = value(cand)
+            if fc >= fx + _ARMIJO * float(g @ (cand - x)):
+                break
+            step /= 2.0
+        else:
+            break
+        x, fx, gain = cand, fc, fc - fx
+        g = gradient(x)
+    return x, fx, done(x, fx, g, gain)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_compositions_match_the_stars_and_bars_builder(n):
+    for total in range(13):
+        got = _compositions(n, total)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, compositions_reference(n, total))
+    assert np.array_equal(_compositions(3, 200), compositions_reference(3, 200))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 9)),
+              elements=st.floats(-1e6, 1e6, allow_nan=False)))
+def test_projection_of_a_matrix_is_the_projection_of_each_row(M):
+    P = project_to_simplex(M)
+    for v, p in zip(M, P):
+        assert p.tobytes() == project_reference(v).tobytes()
+        assert p.tobytes() == project_to_simplex(v).tobytes()
+
+
+def test_batched_ascent_rows_are_independent():
+    # rows 0 and 1 are done at the start (the maximizer and a value-0
+    # vertex), seeded row 23 stalls below step 1e-13 after 132 steps, the
+    # rest run to max_iters; scaled by 40, steps of 1.0 overshoot, so rows
+    # halve their steps different numbers of times
+    starts = np.vstack([[0.0, 0.4, 0.4, 0.2], [0.0, 0.0, 0.0, 1.0],
+                        np.random.default_rng(0).dirichlet(np.ones(4), size=24)])
+
+    def done(X, F, G, gain):
+        return _kkt_residuals(X, G, np.asarray(F)[..., None], 3).max(axis=-1) <= 1e-15
+
+    def batch(scale, max_iters, X0):
+        return _ascend(lambda X: scale * theorem1_bound_poly(*X.T),
+                       lambda X: scale * np.column_stack(theorem1_bound_gradient(*X.T)),
+                       X0, max_iters, done)
+
+    def alone(scale, max_iters, x0):
+        return ascend_reference(lambda x: scale * theorem1_bound_poly(*x.tolist()),
+                                lambda x: scale * np.array(theorem1_bound_gradient(*x.tolist())),
+                                x0, max_iters, lambda *a: bool(done(*a)))
+
+    for scale in (40.0, 1.0):
+        for max_iters in (0, 1, 200):
+            X, F, D = batch(scale, max_iters, starts)
+            assert X.shape == starts.shape and F.shape == D.shape == (len(starts),)
+            for i, x0 in enumerate(starts):
+                x, fx, d = alone(scale, max_iters, x0)
+                assert X[i].tobytes() == x.tobytes() and F[i] == fx and D[i] == d
+                one = batch(scale, max_iters, starts[i:i + 1])
+                assert one[0].tobytes() == X[i:i + 1].tobytes()
+                assert one[1][0] == F[i] and one[2][0] == D[i]
+    assert D[:2].all()
+    # the stall ends before max_iters: doubling the budget changes nothing
+    x, fx, d = alone(1.0, 400, starts[23])
+    assert not D[23] and not d and x.tobytes() == X[23].tobytes() and fx == F[23]
+
+
 def test_lattice_chunking_matches_dense():
-    from hyperlag.optimize import _compositions, iter_lattice
+    from hyperlag.optimize import iter_lattice
 
     dense = _compositions(4, 8)
     chunked = np.vstack(list(iter_lattice(4, 8, cap=20)))

@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from .closedform import Surd
 from .hypercore import UniformHypergraph
 
@@ -249,12 +251,14 @@ def blow_up_pattern(pattern: PartitionPattern, sizes: Sequence[int]) -> UniformH
     if len(sizes) != pattern.num_parts:
         raise ValueError(f"{len(sizes)} part sizes for {pattern.num_parts} parts")
     members = [range(lo, hi + 1) for lo, hi in _blocks(sizes)]
-    edges: list[tuple[int, ...]] = []
+    flat: list[int] = []
     for template in pattern.templates:
-        pools = [itertools.combinations(members[part - 1], need)
-                 for part, need in _demand(template)]
-        edges.extend(sum(combo, ()) for combo in itertools.product(*pools))
-    return UniformHypergraph(pattern.r, sum(sizes), edges)
+        pools = [itertools.combinations(members[part - 1], need) for part, need in _demand(template)]
+        # sum(combo, ()) joins the members drawn from each part into one edge
+        flat.extend(itertools.chain.from_iterable(
+            map(sum, itertools.product(*pools), itertools.repeat(()))))
+    E = np.array(flat, dtype=np.int64).reshape(-1, pattern.r)
+    return UniformHypergraph(pattern.r, sum(sizes), E)
 
 
 def instantiate_pattern(pattern: PartitionPattern, t: int) -> UniformHypergraph:
@@ -410,11 +414,13 @@ def assemble_gstar(
         raise ValueError(f"adder has {adder.n} vertices, target part has {len(part)}")
     if adder.r != base.r:
         raise ValueError(f"arity mismatch: base r = {base.r}, adder r = {adder.r}")
-    mapped = [tuple(sorted(part[v - 1] for v in e)) for e in adder.edges]
-    clash = base.edge_set.intersection(mapped)
-    if clash:
-        raise ValueError(f"mapped adder edge {sorted(clash)[0]} already in the base")
-    return UniformHypergraph(base.r, base.n, base.edges + tuple(mapped))
+    # part is increasing, so each mapped row stays sorted
+    mapped = np.asarray(part, dtype=np.int64)[adder.edge_array - 1]
+    G = UniformHypergraph(base.r, base.n, np.concatenate([base.edge_array, mapped]))
+    if G.m < base.m + adder.m:
+        clash = set(base.edges).intersection(map(tuple, mapped.tolist()))
+        raise ValueError(f"mapped adder edge {min(clash)} already in the base")
+    return G
 
 
 def construction_metadata(

@@ -1,10 +1,10 @@
 """Uniform hypergraphs and the Lagrangian toolkit built on them.
 
 Vertices are the integers 1..n.  Hypergraphs are immutable, edges are kept
-as a lexicographically sorted tuple of sorted r-tuples, and equality means
-equality of that canonical edge list (isomorphism is out of scope).  All
-operations are pure functions, so everything here can be shared freely
-across threads.
+as a read-only (m, r) int64 array of sorted rows, distinct and in
+lexicographic order, and equality means equal r, n and edge array
+(isomorphism is out of scope).  All operations are pure functions, so
+everything here can be shared freely across threads.
 
 The Lagrangian of a hypergraph G at a weighting x is the sum, over edges,
 of the product of the member weights.  Evaluation and gradient share one
@@ -14,11 +14,15 @@ generic code path: pass a ``WeightVector`` for floats, or any sequence of
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Sequence, TextIO, Union
+
+import numpy as np
 
 __all__ = [
     "UniformHypergraph",
@@ -35,38 +39,67 @@ __all__ = [
 ]
 
 _NEG_TOL = 1e-12
+_INDEX = re.compile(r"[+-]?[0-9]+")  # a vertex index as np.loadtxt reads an int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformHypergraph:
-    """An r-uniform hypergraph on vertex set {1..n} with a canonical edge list."""
+    """An r-uniform hypergraph on vertex set {1..n}.  ``edge_array`` takes any
+    iterable of edges or an (m, r) integer array, and keeps the canonical one."""
 
     r: int
     n: int
-    edges: tuple[tuple[int, ...], ...] = ()
+    edge_array: np.ndarray = ()
 
     def __post_init__(self):
         if self.r < 2:
             raise ValueError(f"edge arity must be >= 2, got {self.r}")
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        canon = set()
-        for e in self.edges:
-            members = tuple(sorted(int(v) for v in e))
-            if len(members) != self.r or len(set(members)) != self.r:
-                raise ValueError(f"edge {e} does not have {self.r} distinct vertices")
-            if members[0] < 1 or members[-1] > self.n:
-                raise ValueError(f"edge {e} leaves the vertex range 1..{self.n}")
-            canon.add(members)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        edges = self.edge_array if isinstance(self.edge_array, np.ndarray) else list(self.edge_array)
+        try:
+            E = np.sort(np.asarray(edges, dtype=np.int64).reshape(len(edges), self.r), axis=1)
+            faulty = (np.count_nonzero(E[:, 0] < 1) or np.count_nonzero(E[:, -1] > self.n)
+                      or np.count_nonzero(E[:, 1:] == E[:, :-1]))
+        except (ValueError, TypeError, OverflowError):
+            faulty = True
+        if faulty:  # name the first edge, in input order, at fault
+            for e in map(tuple, edges.tolist()) if isinstance(edges, np.ndarray) else edges:
+                members = sorted(int(v) for v in e)
+                if len(members) != self.r or len(set(members)) != self.r:
+                    raise ValueError(f"edge {e} does not have {self.r} distinct vertices")
+                if members[0] < 1 or members[-1] > self.n:
+                    raise ValueError(f"edge {e} leaves the vertex range 1..{self.n}")
+            raise ValueError("vertex indices beyond the int64 range")
+        base = int(self.n) + 1
+        if base**self.r > 2**63:  # a row's key below would overflow int64
+            E = np.unique(E, axis=0)
+        else:
+            # a row read as a base-(n+1) number sorts as the row does; rows
+            # already in order, as a written file's are, stay as they are
+            powers = np.array([base**k for k in range(self.r - 1, -1, -1)])
+            key = E.dot(powers)
+            if np.count_nonzero(key[1:] <= key[:-1]):
+                key.sort()  # with a mask, not np.unique: numpy 2.4's is ~50x slower on int64
+                E = key[np.concatenate(([True], key[1:] != key[:-1]))][:, None] // powers % base
+        E.setflags(write=False)
+        object.__setattr__(self, "edge_array", E)
+
+    def __eq__(self, other):
+        return (isinstance(other, UniformHypergraph) and (self.r, self.n) == (other.r, other.n)
+                and np.array_equal(self.edge_array, other.edge_array))
+
+    def __hash__(self):
+        return hash((self.r, self.n, self.edge_array.tobytes()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.edges)
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges as sorted r-tuples in lexicographic order, built on first use."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
     def links(self) -> tuple[frozenset[tuple[int, ...]], ...]:
@@ -77,12 +110,6 @@ class UniformHypergraph:
             for k, v in enumerate(e):
                 acc[v].add(e[:k] + e[k + 1:])
         return tuple(frozenset(s) for s in acc)
-
-    def has_edge(self, e: Iterable[int]) -> bool:
-        return tuple(sorted(e)) in self.edge_set
-
-    def with_edges(self, extra: Iterable[Iterable[int]]) -> "UniformHypergraph":
-        return UniformHypergraph(self.r, self.n, self.edges + tuple(tuple(e) for e in extra))
 
 
 @dataclass(frozen=True)
@@ -189,36 +216,47 @@ class HypergraphFormatError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _significant_lines(lines: list[str]):
+    for lineno, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
             yield lineno, body
 
 
 def parse_hypergraph(text: str) -> UniformHypergraph:
-    lines = _significant_lines(text)
+    """Every check runs on the array np.loadtxt reads; only a faulty body is
+    scanned line by line, to name the first faulty line."""
+    lines = text.splitlines()
+    significant = _significant_lines(lines)
     try:
-        lineno, header = next(lines)
+        lineno, header = next(significant)
     except StopIteration:
         raise HypergraphFormatError(1, "empty file, expected header 'r n m'") from None
     fields = header.split()
     if len(fields) != 3:
         raise HypergraphFormatError(lineno, f"expected header 'r n m', got {header!r}")
+    if not all(_INDEX.fullmatch(f) for f in fields):
+        raise HypergraphFormatError(lineno, f"non-integer header field in {header!r}")
+    r, n, m = (int(f) for f in fields)
     try:
-        r, n, m = (int(f) for f in fields)
-    except ValueError:
-        raise HypergraphFormatError(lineno, f"non-integer header field in {header!r}") from None
-    edges = []
+        with warnings.catch_warnings():
+            # an empty body is no fault; older numpy reads "1.5" through a float
+            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error", DeprecationWarning)
+            body = np.loadtxt(lines, dtype=np.int64, comments="#", skiprows=lineno, ndmin=2)
+        G = UniformHypergraph(r, n, body)
+        if G.m == len(body) == m:
+            return G
+    except (ValueError, DeprecationWarning):
+        pass
     seen = set()
-    for lineno, body in lines:
+    for lineno, body in significant:
         parts = body.split()
         if len(parts) != r:
             raise HypergraphFormatError(lineno, f"expected {r} vertex indices, got {len(parts)}")
-        try:
-            e = tuple(sorted(int(p) for p in parts))
-        except ValueError:
-            raise HypergraphFormatError(lineno, f"non-integer vertex index in {body!r}") from None
+        if not all(_INDEX.fullmatch(p) for p in parts):
+            raise HypergraphFormatError(lineno, f"non-integer vertex index in {body!r}")
+        e = tuple(sorted(int(p) for p in parts))
         if len(set(e)) != r:
             raise HypergraphFormatError(lineno, f"repeated vertex in edge {body!r}")
         if e[0] < 1 or e[-1] > n:
@@ -226,18 +264,17 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
         if e in seen:
             raise HypergraphFormatError(lineno, f"duplicate edge {body!r}")
         seen.add(e)
-        edges.append(e)
-        if len(edges) > m:
+        if len(seen) > m:
             raise HypergraphFormatError(lineno, f"more than the declared {m} edges")
-    if len(edges) != m:
-        raise HypergraphFormatError(lineno, f"declared {m} edges, found {len(edges)}")
-    return UniformHypergraph(r, n, edges)
+    if len(seen) != m:
+        raise HypergraphFormatError(lineno, f"declared {m} edges, found {len(seen)}")
+    UniformHypergraph(r, n)  # a sound body leaves the header at fault: r < 2 or n < 0
+    raise HypergraphFormatError(lineno, "vertex indices beyond the int64 range")
 
 
 def format_hypergraph(G: UniformHypergraph) -> str:
-    out = [f"{G.r} {G.n} {G.m}"]
-    out.extend(" ".join(str(v) for v in e) for e in G.edges)
-    return "\n".join(out) + "\n"
+    row = "%d " * (G.r - 1) + "%d\n"
+    return f"{G.r} {G.n} {G.m}\n" + row * G.m % tuple(G.edge_array.ravel().tolist())
 
 
 def read_hypergraph(source: Union[str, TextIO]) -> UniformHypergraph:

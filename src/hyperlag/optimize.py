@@ -91,12 +91,6 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(V - theta[:, None], 0.0).reshape(v.shape)
 
 
-def _edge_array(G: UniformHypergraph) -> np.ndarray:
-    if G.m == 0:
-        return np.zeros((0, G.r), dtype=np.int64)
-    return np.asarray(G.edges, dtype=np.int64) - 1
-
-
 def _value(E: np.ndarray, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Sum over rows of coef * prod x[row], the product left to right, at a
     point or at each row of a matrix; ``np.take`` keeps C order, so a matrix
@@ -247,7 +241,7 @@ def verify_stationarity(G: UniformHypergraph, x, tol: float) -> StationarityRepo
     w = x.weights if isinstance(x, WeightVector) else tuple(float(v) for v in x)
     lam = float(lagrangian_value(G, w))
     xf = np.asarray(w, dtype=float)
-    per = _kkt_residuals(xf, _gradient(_edge_array(G), xf), lam, G.r)
+    per = _kkt_residuals(xf, _gradient(G.edge_array - 1, xf), lam, G.r)
     residual = float(per.max(initial=0.0))
     return StationarityReport(residual, tuple(per.tolist()), lam, tol, residual <= tol)
 
@@ -294,7 +288,7 @@ def quotient(G: UniformHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     for c, cls in enumerate(classes):
         owner[np.asarray(cls) - 1] = c
     sizes = np.array([len(cls) for cls in classes], dtype=np.int64)
-    E = _edge_array(G)
+    E = G.edge_array - 1
     if sizes.size == G.n:  # twin-free: owner is the identity, E is sorted and distinct
         return E, np.ones(G.m), sizes, owner
     T = np.unique(np.sort(owner[E], axis=1), axis=0)
@@ -367,14 +361,14 @@ def grid_oracle(G: UniformHypergraph, resolution: int, allow_large: bool = False
         return Fraction(0)
     if G.m * resolution**G.r >= 2**62:
         raise ValueError("resolution too large for exact int64 scoring")
-    E = _edge_array(G)
+    E = G.edge_array - 1
+    # score per edge column in one (m, chunk) int64 block of at most 16 MiB
+    cap = max(1, min(_LATTICE_CAP, 2**21 // G.m))
     best = 0
-    for chunk in iter_lattice(G.n, resolution):
-        scores = np.zeros(chunk.shape[0], dtype=np.int64)
-        for e in E:
-            prod = chunk[:, e[0]].copy()
-            for v in e[1:]:
-                prod *= chunk[:, v]
-            scores += prod
-        best = max(best, int(scores.max()))
+    for chunk in iter_lattice(G.n, resolution, cap):
+        counts = chunk.T.copy()
+        prod = counts[E[:, 0]]
+        for col in E.T[1:]:
+            prod *= counts[col]
+        best = max(best, int(prod.sum(axis=0).max()))
     return Fraction(best, resolution**G.r)

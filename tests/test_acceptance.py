@@ -181,8 +181,8 @@ def test_08_fact_suite():
         pool = list(itertools.combinations(range(1, n + 1), 3))
         edges = rng.sample(pool, rng.randint(1, len(pool) - 1))
         G1 = UniformHypergraph(3, n, edges)
-        extra = rng.choice([e for e in pool if e not in G1.edge_set])
-        if maximize_lagrangian(G1.with_edges([extra]), cfg).value \
+        extra = rng.choice([e for e in pool if e not in edges])
+        if maximize_lagrangian(UniformHypergraph(3, n, edges + [extra]), cfg).value \
                 < maximize_lagrangian(G1, cfg).value - 1e-9:
             mono_ok = False
 

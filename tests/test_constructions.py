@@ -302,7 +302,7 @@ def test_checker_scales_to_a_1440_edge_adder_with_a_planted_violation():
     x, y, z = A.edges[0]
     w = next(v for v in range(1, A.n + 1) if v not in (x, y, z))
     planted = {(x, y, z), tuple(sorted((x, y, w))), tuple(sorted((x, z, w)))}
-    B = UniformHypergraph(3, A.n, A.edge_set | planted)
+    B = UniformHypergraph(3, A.n, set(A.edges) | planted)
     assert B.m > A.m
     chk = check_local_sparsity(B, 4)
     assert not chk.ok and len(chk.witness) <= 4
@@ -338,7 +338,7 @@ def test_assemble_gstar_counts():
     adder = UniformHypergraph(3, 10, list(itertools.combinations(range(1, 11), 3))[:100])
     G = assemble_gstar(base, adder, v1)
     assert G.m == base.m + 100
-    assert set(base.edges).issubset(G.edge_set)
+    assert set(base.edges).issubset(G.edges)
     assert lagrangian_value(G, [F(1, 25)] * 25) == F(2, 25) + F(1, 625)
     # empty adder leaves the base untouched
     assert assemble_gstar(base, UniformHypergraph(3, 10, []), v1) == base
@@ -348,8 +348,8 @@ def test_assemble_gstar_errors():
     base = build_theorem1_base(10)
     with pytest.raises(ValueError, match="vertices"):
         assemble_gstar(base, UniformHypergraph(3, 3, [(1, 2, 3)]), [1, 2, 3, 4])
-    clash = UniformHypergraph(3, 10, [(1, 2, 5)])   # maps onto the base edge (1, 2, 5)
-    with pytest.raises(ValueError, match="already"):
+    clash = UniformHypergraph(3, 10, [(1, 2, 5)])   # maps onto the base edge (1, 2, 13)
+    with pytest.raises(ValueError, match=r"edge \(1, 2, 13\) already"):
         assemble_gstar(build_theorem1_base(25), clash,
                        [1, 2, 11, 12, 13, 14, 15, 16, 17, 21])
 

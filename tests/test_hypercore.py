@@ -3,10 +3,12 @@
 import io
 import itertools
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hyperlag.hypercore import (
     HypergraphFormatError,
@@ -58,9 +60,71 @@ def symmetrize_pair(G, x, i, j):
     return WeightVector(tuple(w))
 
 
+def canonical_reference(r, n, edges):
+    """The tuple canonicalization the edge array replaced: every edge sorted
+    and checked in input order, then the distinct edges sorted."""
+    canon = set()
+    for e in edges:
+        members = tuple(sorted(int(v) for v in e))
+        if len(members) != r or len(set(members)) != r:
+            raise ValueError(f"edge {e} does not have {r} distinct vertices")
+        if members[0] < 1 or members[-1] > n:
+            raise ValueError(f"edge {e} leaves the vertex range 1..{n}")
+        canon.add(members)
+    return tuple(sorted(canon))
+
+
+@st.composite
+def edge_lists(draw, faulty=True):
+    """(r, n, edges): unsorted rows, repeated edges in another vertex order,
+    possibly none, and, if ``faulty``, up to two bad edges anywhere.  n is
+    sometimes so large that a row read as a base-(n+1) number overflows int64."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.one_of(st.integers(r, 9), st.integers(2**16, 2**22)))
+    edge = st.lists(st.integers(1, n), min_size=r, max_size=r, unique=True).map(tuple)
+    edges = draw(st.lists(edge, max_size=25))
+    if edges:
+        for e in draw(st.lists(st.sampled_from(edges), max_size=5)):
+            edges.insert(draw(st.integers(0, len(edges))), e[::-1])
+    faults = st.lists(st.sampled_from(["repeat", "zero", "over", "short"]), max_size=2)
+    for fault in draw(faults) if faulty else ():
+        good = draw(edge)
+        bad = {"repeat": good[:-1] + good[:1], "zero": good[:-1] + (0,),
+               "over": good[:-1] + (n + 1,), "short": good[:-1]}[fault]
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return r, n, edges
+
+
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
+
+@given(edge_lists())
+def test_edge_array_matches_the_tuple_canonicalization(case):
+    r, n, edges = case
+    try:
+        want = canonical_reference(r, n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            UniformHypergraph(r, n, edges)
+        assert str(err.value) == str(exc)
+        return
+    G = UniformHypergraph(r, n, edges)
+    assert G.edges == want and G.m == len(want)
+    assert G.edge_array.dtype == np.int64 and G.edge_array.shape == (len(want), r)
+    assert not G.edge_array.flags.writeable
+    for same in (UniformHypergraph(r, n, want), UniformHypergraph(r, n, np.array(edges).reshape(-1, r))):
+        assert same == G and hash(same) == hash(G)
+    assert G != UniformHypergraph(r, n + 1, edges)
+    if want:
+        assert G != UniformHypergraph(r, n, want[1:])
+
+
+@given(edge_lists(faulty=False))
+def test_parse_of_format_is_the_graph(case):
+    G = UniformHypergraph(*case)
+    assert parse_hypergraph(format_hypergraph(G)) == G
+
 
 def test_edges_canonicalized_and_validated():
     G = UniformHypergraph(3, 5, [(3, 2, 1), (1, 2, 3), (5, 4, 1)])
@@ -310,8 +374,22 @@ def test_format_comments_and_layout():
     ("3 4 2\n1 2 3\n1 2 3\n", 3),
     ("3 4 2\n1 2 3\n", 2),
     ("3 4 1\n1 2 3\n2 3 4\n", 3),
+    # below, a valid line follows each faulty one, so its number is not the last line's
+    ("# made by hand\n\n# r n m\n3 4 3\n1 2 3\n1 2 x\n2 3 4\n", 6),
+    ("3 50 42\n1 2 3\n" + "".join(f"1 2 {v}\n" for v in range(4, 43)) + "3 2 1\n4 5 6\n", 42),
+    ("3 6 2\n1 2\n3 4\n5 6\n", 2),
+    ("3 2000 2\n1 2 1_000\n4 5 6\n", 2),
+    ("3 4 2\n1 2 3.0\n2 3 4\n", 2),
 ])
 def test_format_errors_carry_line_numbers(text, line):
     with pytest.raises(HypergraphFormatError) as err:
         parse_hypergraph(text)
     assert err.value.line == line
+
+
+def test_empty_body_parses_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = parse_hypergraph("3 4 0\n")
+        assert parse_hypergraph("# nothing yet\n3 4 0  # empty\n\n# still nothing\n") == G
+    assert (G.r, G.n, G.m, G.edge_array.shape) == (3, 4, 0, (0, 3))

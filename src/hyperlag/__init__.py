@@ -12,7 +12,6 @@ from .hypercore import (
     UniformHypergraph,
     WeightVector,
     density,
-    lagrangian_gradient,
     lagrangian_value,
     link_difference,
     read_hypergraph,
@@ -53,7 +52,6 @@ from .constructions import (
     build_theorem1_base,
     build_theorem3_pattern,
     check_local_sparsity,
-    check_local_sparsity_naive,
     generate_sparse_adder,
     instantiate_pattern,
     pattern_edge_count,

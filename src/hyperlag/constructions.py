@@ -40,7 +40,6 @@ __all__ = [
     "pattern_part_sizes",
     "pattern_parts",
     "check_local_sparsity",
-    "check_local_sparsity_naive",
     "generate_sparse_adder",
     "assemble_gstar",
     "construction_metadata",
@@ -284,20 +283,6 @@ def pattern_edge_count(pattern: PartitionPattern, t: int) -> int:
 # ---------------------------------------------------------------------------
 # Local sparsity: every V0 with r <= |V0| <= s spans at most |V0| - r + 1 edges
 # ---------------------------------------------------------------------------
-
-def check_local_sparsity_naive(A: UniformHypergraph, s: int) -> SparsityCheck:
-    """Reference checker: enumerate every vertex subset of size r..s."""
-    if s < A.r:
-        raise ValueError(f"s must be >= r = {A.r}, got {s}")
-    for size in range(A.r, min(s, A.n) + 1):
-        allowed = size - A.r + 1
-        for v0 in itertools.combinations(range(1, A.n + 1), size):
-            inside = set(v0)
-            count = sum(1 for e in A.edges if inside.issuperset(e))
-            if count > allowed:
-                return SparsityCheck(False, v0)
-    return SparsityCheck(True, None)
-
 
 def check_local_sparsity(A: UniformHypergraph, s: int) -> SparsityCheck:
     """Fast checker via the equivalent edge-subset criterion.

@@ -7,9 +7,9 @@ lexicographic order, and equality means equal r, n and edge array
 everything here can be shared freely across threads.
 
 The Lagrangian of a hypergraph G at a weighting x is the sum, over edges,
-of the product of the member weights.  Evaluation and gradient share one
-generic code path: pass a ``WeightVector`` for floats, or any sequence of
-``Fraction`` values for exact arithmetic.
+of the product of the member weights.  Pass a ``WeightVector`` or floats,
+evaluated on the edge array, or any sequence of ``Fraction`` values for
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "WeightVector",
     "HypergraphFormatError",
     "lagrangian_value",
-    "lagrangian_gradient",
     "density",
     "link_difference",
     "read_hypergraph",
@@ -71,17 +70,7 @@ class UniformHypergraph:
                 if members[0] < 1 or members[-1] > self.n:
                     raise ValueError(f"edge {e} leaves the vertex range 1..{self.n}")
             raise ValueError("vertex indices beyond the int64 range")
-        base = int(self.n) + 1
-        if base**self.r > 2**63:  # a row's key below would overflow int64
-            E = np.unique(E, axis=0)
-        else:
-            # a row read as a base-(n+1) number sorts as the row does; rows
-            # already in order, as a written file's are, stay as they are
-            powers = np.array([base**k for k in range(self.r - 1, -1, -1)])
-            key = E.dot(powers)
-            if np.count_nonzero(key[1:] <= key[:-1]):
-                key.sort()  # with a mask, not np.unique: numpy 2.4's is ~50x slower on int64
-                E = key[np.concatenate(([True], key[1:] != key[:-1]))][:, None] // powers % base
+        E = _lex_unique(E, int(self.n) + 1)
         E.setflags(write=False)
         object.__setattr__(self, "edge_array", E)
 
@@ -102,14 +91,34 @@ class UniformHypergraph:
         return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
-    def links(self) -> tuple[frozenset[tuple[int, ...]], ...]:
-        """``links[v]`` holds the sorted (r-1)-tuples S with S + {v} an edge,
-        for v in 1..n; entry 0 is empty so vertices index directly."""
-        acc: list[set] = [set() for _ in range(self.n + 1)]
-        for e in self.edges:
-            for k, v in enumerate(e):
-                acc[v].add(e[:k] + e[k + 1:])
-        return tuple(frozenset(s) for s in acc)
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """The link index ``(starts, rows)``: ``rows[starts[v]:starts[v + 1]]``
+        are the sorted (r-1)-rows S with S + {v} an edge, in lexicographic
+        order, for v in 0..n (vertex 0 has none), so deg v is np.diff(starts)[v]."""
+        r = self.r
+        # each edge once per member: the member first, then the rest in order
+        pairs = self.edge_array[:, [[k, *range(k), *range(k + 1, r)] for k in range(r)]]
+        pairs = _lex_unique(pairs.reshape(-1, r), self.n + 1)
+        return np.searchsorted(pairs[:, 0], np.arange(self.n + 2)), pairs[:, 1:]
+
+
+def _powers(base: int, width: int) -> np.ndarray:
+    """Place values that read a row of ``width`` digits in 0..base-1 as one number,
+    which sorts as the row does; Python ints where it could overflow int64."""
+    return np.array([base**k for k in range(width - 1, -1, -1)],
+                    dtype=np.int64 if base**width <= 2**63 else object)
+
+
+def _lex_unique(rows: np.ndarray, base: int) -> np.ndarray:
+    """The distinct rows of an array with entries in 0..base-1, in lexicographic
+    order; rows already in order, as a written file's are, come back as they are."""
+    powers = _powers(base, rows.shape[1])
+    key = rows @ powers
+    if np.count_nonzero(key[1:] <= key[:-1]):
+        key.sort()  # with a mask, not np.unique: numpy 2.4's is ~50x slower on int64
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        rows = np.stack([key // p % base for p in powers], axis=1).astype(np.int64, copy=False)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -161,8 +170,16 @@ def _weight_seq(G: UniformHypergraph, x: Weights):
 
 
 def lagrangian_value(G: UniformHypergraph, x: Weights):
-    """Sum over edges of the product of member weights; exact if x is exact."""
+    """Sum over edges of the product of member weights; exact if x is exact.  On
+    floats, as on exact weights, products run left to right and the sum edge by edge."""
     w = _weight_seq(G, x)
+    if G.m and all(isinstance(v, float) for v in w):
+        xf, E = np.array(w, dtype=float), G.edge_array - 1
+        with np.errstate(all="ignore"):  # float arithmetic overflows silently, as in the loop
+            prod = xf[E[:, 0]]
+            for col in E.T[1:]:
+                prod *= xf[col]
+            return float(np.add.accumulate(prod)[-1]) + 0.0  # as the loop's 0 + ..., never -0.0
     total = 0
     for e in G.edges:
         prod = w[e[0] - 1]
@@ -170,20 +187,6 @@ def lagrangian_value(G: UniformHypergraph, x: Weights):
             prod = prod * w[v - 1]
         total = total + prod
     return total
-
-
-def lagrangian_gradient(G: UniformHypergraph, x: Weights) -> list:
-    """Entry i is the sum over edges containing i of the product of the other weights."""
-    w = _weight_seq(G, x)
-    grad = [0] * G.n
-    for e in G.edges:
-        for skip in range(len(e)):
-            prod = 1
-            for j, v in enumerate(e):
-                if j != skip:
-                    prod = prod * w[v - 1]
-            grad[e[skip] - 1] = grad[e[skip] - 1] + prod
-    return grad
 
 
 def density(G: UniformHypergraph) -> Fraction:
@@ -200,8 +203,14 @@ def link_difference(G: UniformHypergraph, j: int, i: int) -> frozenset[tuple[int
     for v in (j, i):
         if not 1 <= v <= G.n:
             raise ValueError(f"vertex {v} leaves the range 1..{G.n}")
-    other = G.links[i]
-    return frozenset(S for S in G.links[j] if i not in S and S not in other)
+    starts, rows = G.links
+    mine = rows[starts[j]:starts[j + 1]]
+    mine = mine[~(mine == i).any(axis=1)]
+    # both groups are in lexicographic order, so their keys are sorted
+    powers = _powers(G.n + 1, G.r - 1)
+    theirs, keys = rows[starts[i]:starts[i + 1]] @ powers, mine @ powers
+    absent = np.searchsorted(theirs, keys) == np.searchsorted(theirs, keys, side="right")
+    return frozenset(map(tuple, mine[absent].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from math import comb
 
 import numpy as np
 
-from .hypercore import UniformHypergraph, WeightVector, lagrangian_value, link_difference
+from .hypercore import (
+    UniformHypergraph, WeightVector, _lex_unique, lagrangian_value, link_difference)
 
 __all__ = [
     "OptimizerConfig",
@@ -91,28 +92,30 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(V - theta[:, None], 0.0).reshape(v.shape)
 
 
-def _value(E: np.ndarray, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Sum over rows of coef * prod x[row], the product left to right, at a
-    point or at each row of a matrix; ``np.take`` keeps C order, so a matrix
-    row sums in the same order as a point."""
+def _value(E: np.ndarray, x: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
+    """Sum over rows of coef * prod x[row] (coef None: all ones), the product
+    left to right, at a point or at each row of a matrix; ``np.take`` keeps C
+    order, so a matrix row sums in the same order as a point."""
     prod = np.take(x, E[:, 0], axis=-1)
     for col in E.T[1:]:
         prod *= np.take(x, col, axis=-1)
-    return np.multiply(prod, coef, out=prod).sum(axis=-1)
+    return (prod if coef is None else np.multiply(prod, coef, out=prod)).sum(axis=-1)
 
 
 def _gradient(E: np.ndarray, x: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of sum over rows of coef * prod x[row], at a point or at each
-    row of a matrix; a repeated entry in a row is differentiated once per
-    occurrence.  The terms go into one flat array, row b at offset b*n."""
+    """Gradient of sum over rows of coef * prod x[row] (coef None: all ones),
+    at a point or at each row of a matrix; a repeated entry in a row counts
+    once per occurrence.  The terms go into one flat array, row b at offset b*n."""
     n, r = x.shape[-1], E.shape[1]
     grad, offsets = np.zeros(x.size), n * np.arange(x.size // n)[:, None]
     for c in range(r):
-        # coef * x_a * x_b * ..., in place: one (rows, edges) array at a time
-        others = np.broadcast_to(1.0 if coef is None else coef, x.shape[:-1] + E.shape[:1]).copy()
-        for c2 in range(r):
-            if c2 != c:
-                others *= np.take(x, E[:, c2], axis=-1)
+        # x_a * coef * x_b * ..., in place: one (rows, edges) array at a time;
+        # products commute exactly, so this is coef * x_a * x_b * ...
+        a, *rest = (E[:, c2] for c2 in range(r) if c2 != c)
+        others = np.take(x, a, axis=-1)
+        others = others if coef is None else others * coef
+        for col in rest:
+            others *= np.take(x, col, axis=-1)
         np.add.at(grad, (E[:, c] + offsets).ravel(), others.ravel())
     return grad.reshape(x.shape)
 
@@ -200,6 +203,7 @@ def maximize_lagrangian(
     k = sizes.size
     if k == G.n:  # twin-free: every class is one vertex and owner the identity
         classes = spread = lambda X: X
+        coef = None
     else:
         # the class sums of every row in one bincount, over row-offset labels
         labels = (owner + k * np.arange(cfg.restarts)[:, None]).ravel()
@@ -254,8 +258,9 @@ def symmetry_reduce(G: UniformHypergraph) -> list[list[int]]:
     tied inside a class without lowering the achievable maximum."""
     classes: list[list[int]] = []
     by_degree: dict[int, list[list[int]]] = {}
+    degree = np.diff(G.links[0]).tolist()
     for v in range(1, G.n + 1):
-        same = by_degree.setdefault(len(G.links[v]), [])
+        same = by_degree.setdefault(degree[v], [])
         for cls in same:
             # One direction suffices: an empty L(u\v) means swapping u for v
             # maps the edges holding u but not v one-to-one into those holding
@@ -291,7 +296,7 @@ def quotient(G: UniformHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     E = G.edge_array - 1
     if sizes.size == G.n:  # twin-free: owner is the identity, E is sorted and distinct
         return E, np.ones(G.m), sizes, owner
-    T = np.unique(np.sort(owner[E], axis=1), axis=0)
+    T = _lex_unique(np.sort(owner[E], axis=1), sizes.size)
     # rank: how often the entry already occurs to its left in the sorted row;
     # C(n, m) / n^m is the product over ranks j < m of (n - j) / (n (j + 1))
     rank = np.zeros(T.shape, dtype=np.int64)

@@ -1,0 +1,77 @@
+"""Test-side reference implementations: plain loops over ``G.edges`` and
+vertex subsets that the library's code must agree with.  Not a test module;
+the test files import from it."""
+
+import itertools
+
+from hyperlag.constructions import SparsityCheck
+
+
+def _weights(G, x):
+    w = x.weights if hasattr(x, "weights") else tuple(x)
+    if len(w) != G.n:
+        raise ValueError(f"weight vector has {len(w)} entries, graph has {G.n} vertices")
+    return w
+
+
+def lagrangian_value_loop(G, x):
+    """Sum over edges, in lexicographic order, of the member weights'
+    product taken left to right; the sum starts from the integer 0."""
+    w = _weights(G, x)
+    total = 0
+    for e in G.edges:
+        prod = w[e[0] - 1]
+        for v in e[1:]:
+            prod = prod * w[v - 1]
+        total = total + prod
+    return total
+
+
+def lagrangian_gradient(G, x) -> list:
+    """Entry i is the sum over edges containing i of the product of the other weights."""
+    w = _weights(G, x)
+    grad = [0] * G.n
+    for e in G.edges:
+        for skip in range(len(e)):
+            prod = 1
+            for j, v in enumerate(e):
+                if j != skip:
+                    prod = prod * w[v - 1]
+            grad[e[skip] - 1] = grad[e[skip] - 1] + prod
+    return grad
+
+
+def links_reference(G) -> dict:
+    """The tuple links the array link index replaced, as a dict over the
+    vertices of positive degree: ``links[v]`` holds the sorted (r-1)-tuples S
+    with S + {v} an edge."""
+    acc = {}
+    for e in G.edges:
+        for k, v in enumerate(e):
+            acc.setdefault(v, set()).add(e[:k] + e[k + 1:])
+    return {v: frozenset(s) for v, s in acc.items()}
+
+
+def brute_link_difference(G, j, i):
+    """Scan every edge for the link difference L(j \\ i)."""
+    out, edges = set(), set(G.edges)
+    for edge in G.edges:
+        rest = tuple(v for v in edge if v != j)
+        if len(rest) < len(edge) and i not in rest and tuple(sorted(rest + (i,))) not in edges:
+            out.add(rest)
+    return frozenset(out)
+
+
+def check_local_sparsity_naive(A, s: int) -> SparsityCheck:
+    """Enumerate every vertex subset of size r..s: none may span more than
+    |V0| - r + 1 edges."""
+    if s < A.r:
+        raise ValueError(f"s must be >= r = {A.r}, got {s}")
+    for size in range(A.r, min(s, A.n) + 1):
+        allowed = size - A.r + 1
+        for v0 in itertools.combinations(range(1, A.n + 1), size):
+            inside = set(v0)
+            count = sum(1 for e in A.edges if inside.issuperset(e))
+            if count > allowed:
+                return SparsityCheck(False, v0)
+    return SparsityCheck(True, None)

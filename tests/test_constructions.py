@@ -18,7 +18,6 @@ from hyperlag.constructions import (
     build_theorem1_base,
     build_theorem3_pattern,
     check_local_sparsity,
-    check_local_sparsity_naive,
     construction_metadata,
     generate_sparse_adder,
     instantiate_pattern,
@@ -29,6 +28,7 @@ from hyperlag.constructions import (
     theorem1_pattern,
 )
 from hyperlag.hypercore import UniformHypergraph, lagrangian_value
+from reference import check_local_sparsity_naive
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from hyperlag.hypercore import (
     HypergraphFormatError,
     UniformHypergraph,
     WeightVector,
+    _powers,
     density,
     format_hypergraph,
-    lagrangian_gradient,
     lagrangian_value,
     link_difference,
     parse_hypergraph,
@@ -24,7 +24,8 @@ from hyperlag.hypercore import (
     write_hypergraph,
 )
 from hyperlag.constructions import PartitionPattern, blow_up_pattern, build_theorem1_base
-from hyperlag.optimize import quotient
+from hyperlag.optimize import maximize_lagrangian, quotient, symmetry_reduce, verify_stationarity
+from reference import brute_link_difference, lagrangian_gradient, lagrangian_value_loop, links_reference
 
 
 def complete3(n):
@@ -36,6 +37,11 @@ def random_graph(rng, n_lo=3, n_hi=6, min_edges=1):
     pool = list(itertools.combinations(range(1, n + 1), 3))
     m = rng.randint(min_edges, len(pool))
     return UniformHypergraph(3, n, rng.sample(pool, m))
+
+
+def random_graph_r(rng, r, n):
+    pool = list(itertools.combinations(range(1, n + 1), r))
+    return UniformHypergraph(r, n, rng.sample(pool, rng.randint(8, min(len(pool), 200))))
 
 
 def blow_up(G, sizes):
@@ -158,6 +164,50 @@ def test_lagrangian_single_edge_values():
     assert lagrangian_value(G, [F(1, 3)] * 3) == F(1, 27)
     assert lagrangian_value(G, WeightVector((0.5, 0.5, 0.0))) == 0.0
     assert lagrangian_value(UniformHypergraph(3, 4, []), WeightVector.uniform(4)) == 0
+
+
+@st.composite
+def weighted_graphs(draw):
+    """(G, weights): r in {2, 3, 4}, possibly no edges, and any floats as
+    weights, signed zeros, subnormals and overflowing products included."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(r, 8))
+    pool = list(itertools.combinations(range(1, n + 1), r))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=40))
+    weight = st.one_of(st.floats(-4, 4), st.sampled_from([0.0, -0.0, 5e-324, 1e300]),
+                       st.integers(1, 2**53 - 1).map(lambda k: k * 2.0**-53))  # all 53 bits
+    return UniformHypergraph(r, n, edges), draw(st.lists(weight, min_size=n, max_size=n))
+
+
+@given(weighted_graphs())
+def test_float_lagrangian_is_the_edge_loop_bit_for_bit(case):
+    G, ws = case
+    inputs = [ws]
+    if any(ws):
+        inputs.append(WeightVector(tuple(abs(w) for w in ws)))
+    for x in inputs:
+        got, want = lagrangian_value(G, x), lagrangian_value_loop(G, x)
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+
+def test_float_lagrangian_sums_edge_by_edge():
+    # a pairwise or blocked sum differs from the loop in the last bits here
+    rng = random.Random(30)
+    for r in (2, 3, 4):
+        for _ in range(10):
+            G = random_graph_r(rng, r, 12)
+            x = [rng.random() for _ in range(G.n)]
+            for w in (x, WeightVector(tuple(x))):
+                assert repr(lagrangian_value(G, w)) == repr(lagrangian_value_loop(G, w))
+
+
+def test_exact_lagrangian_stays_exact():
+    rng = random.Random(31)
+    for _ in range(6):
+        G = random_graph(rng)
+        x = [F(rng.randint(1, 9), 7) for _ in range(G.n)]
+        got = lagrangian_value(G, x)
+        assert type(got) is F and got == lagrangian_value_loop(G, x)
 
 
 def test_lagrangian_dimension_mismatch():
@@ -284,6 +334,61 @@ def test_link_difference_rejects_vertices_out_of_range():
     for j, i in ((1, -1), (-1, 1), (1, 0), (0, 1), (1, 5), (5, 1)):
         with pytest.raises(ValueError, match="range"):
             link_difference(G, j, i)
+
+
+@given(edge_lists(faulty=False))
+def test_link_index_matches_the_tuple_links(case):
+    G = UniformHypergraph(*case)
+    want = links_reference(G)
+    starts, rows = G.links
+    assert starts.shape == (G.n + 2,) and starts[0] == starts[1] == 0 and starts[-1] == G.r * G.m
+    assert rows.dtype == np.int64 and rows.shape == (G.r * G.m, G.r - 1)
+    degree = np.diff(starts)
+    assert {int(v): int(degree[v]) for v in np.flatnonzero(degree)} == {
+        v: len(links) for v, links in want.items()}
+    for v, links in want.items():
+        assert list(map(tuple, rows[starts[v]:starts[v + 1]].tolist())) == sorted(links)
+
+
+@given(edge_lists(faulty=False), st.data())
+def test_link_difference_matches_the_edge_scan_at_any_n(case, data):
+    G = UniformHypergraph(*case)
+    touched = sorted({v for e in G.edges for v in e} | {1, G.n})
+    pick = data.draw(st.lists(st.sampled_from(touched), min_size=2, max_size=4, unique=True))
+    for j, i in itertools.permutations(pick, 2):
+        assert link_difference(G, j, i) == brute_link_difference(G, j, i)
+
+
+def test_link_keys_beyond_int64():
+    n = 600  # 601**7 > 2**63: an 8-graph's link rows key as Python ints
+    assert _powers(n + 1, 7).dtype == object
+    rng = random.Random(8)
+    shared = [rng.sample(range(1, n - 1), 7) for _ in range(12)]
+    edges = ([S + [n] for S in shared] + [S + [n - 1] for S in shared[:6]]
+             + [rng.sample(range(1, n - 1), 6) + [n - 1, n] for _ in range(3)]
+             + [rng.sample(range(1, n - 1), 8) for _ in range(20)])
+    G = UniformHypergraph(8, n, edges)
+    diff = link_difference(G, n, n - 1)
+    assert len(diff) == 6 and diff == brute_link_difference(G, n, n - 1)
+    assert link_difference(G, n - 1, n) == brute_link_difference(G, n - 1, n) == frozenset()
+    starts, rows = G.links
+    for v, links in links_reference(G).items():
+        assert list(map(tuple, rows[starts[v]:starts[v + 1]].tolist())) == sorted(links)
+
+
+def test_lagrangian_builds_no_edge_tuples():
+    rng = random.Random(12)
+    base = UniformHypergraph(3, 12, rng.sample(list(itertools.combinations(range(1, 13), 3)), 90))
+    twins = blow_up(base, [2, 1, 3] + [1] * 9)
+    assert len(symmetry_reduce(base)) == 12 and len(symmetry_reduce(twins)) == 12
+    runs = (symmetry_reduce, quotient, maximize_lagrangian,
+            lambda G: verify_stationarity(G, WeightVector.uniform(G.n), 1e-9),
+            lambda G: lagrangian_value(G, [1.0 / G.n] * G.n))
+    for G in (base, twins):
+        for run in runs:
+            fresh = UniformHypergraph(G.r, G.n, G.edge_array)
+            run(fresh)
+            assert "edges" not in vars(fresh)
 
 
 def test_symmetrize_pair_example():

@@ -30,7 +30,9 @@ from hyperlag.optimize import (
     OptimizerConfig,
     _ascend,
     _compositions,
+    _gradient,
     _kkt_residuals,
+    _value,
     grid_oracle,
     maximize_lagrangian,
     project_to_simplex,
@@ -38,6 +40,7 @@ from hyperlag.optimize import (
     symmetry_reduce,
     verify_stationarity,
 )
+from reference import brute_link_difference
 
 
 def complete3(n):
@@ -211,16 +214,6 @@ def test_symmetry_classes():
     assert classes[0] == list(range(1, 11))
 
 
-def brute_link_difference(G, j, i):
-    """Reference: scan every edge for the link difference L(j \\ i)."""
-    out, edges = set(), set(G.edges)
-    for edge in G.edges:
-        rest = tuple(v for v in edge if v != j)
-        if len(rest) < len(edge) and i not in rest and tuple(sorted(rest + (i,))) not in edges:
-            out.add(rest)
-    return frozenset(out)
-
-
 def union_find_classes(G):
     """Reference: the transitive closure of "both link differences empty" over
     all vertex pairs."""
@@ -296,6 +289,7 @@ def test_quotient_blows_up_to_the_class_block_relabeling():
         T, coef, sizes, owner = quotient(G)
         assert owner.shape == (G.n,) and np.bincount(owner).tolist() == sizes.tolist()
         assert (np.sort(T, axis=1) == T).all()
+        assert np.array_equal(T, np.unique(np.sort(owner[G.edge_array - 1], axis=1), axis=0))
         # relabel so that class c is the c-th consecutive block of vertices
         order = np.lexsort((np.arange(G.n), owner))
         new = np.empty(G.n, dtype=np.int64)
@@ -327,6 +321,16 @@ def test_quotient_of_a_twin_free_graph_is_the_graph():
         assert (coef == 1.0).all()
         assert owner.tolist() == list(range(G.n))
     assert twin_free >= 5
+
+
+def test_kernels_skip_a_unit_coef_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for G in twin_test_graphs():
+        E, ones = G.edge_array - 1, np.ones(G.m)
+        X = rng.dirichlet(np.ones(G.n), size=3)
+        for x in (X, X[0]):
+            assert np.array_equal(_value(E, x), _value(E, x, ones))
+            assert np.array_equal(_gradient(E, x), _gradient(E, x, ones))
 
 
 def test_argmax_is_constant_on_twin_classes():

@@ -28,7 +28,6 @@ from .closedform import (
     f_b2k_prime,
     is_non_square_4k_minus_1,
     theorem1_bound_poly,
-    theorem1_d0_cubic,
     theorem3_bound,
     theorem3_bound_chain,
     verify_theorem1_quartic_identity,

@@ -47,7 +47,6 @@ __all__ = [
     "theorem1_bound_poly",
     "theorem1_bound_gradient",
     "theorem3_bound_gradient",
-    "theorem1_d0_cubic",
     "theorem1_d0_cubic_poly",
     "theorem1_d0_critical_point",
     "theorem1_d0_peak_value",
@@ -537,11 +536,6 @@ def theorem1_d0_cubic_poly() -> RationalPolynomial:
     return RationalPolynomial((Fraction(-1), Fraction(6), Fraction(-21, 2), Fraction(11, 2)))
 
 
-def theorem1_d0_cubic(b):
-    """Evaluate the d = 0 case cubic at b (analysis range is [1/3, 1/2])."""
-    return theorem1_d0_cubic_poly()(b)
-
-
 def theorem1_d0_critical_point() -> Surd:
     """The cubic's critical point (7 - sqrt 5) / 11 inside [1/3, 1/2]."""
     return Fraction(7, 11) - Fraction(1, 11) * Surd.sqrt(5)
@@ -549,7 +543,7 @@ def theorem1_d0_critical_point() -> Surd:
 
 def theorem1_d0_peak_value() -> Surd:
     """Exact value of the d = 0 cubic at its critical point; below 0.076."""
-    return theorem1_d0_cubic(theorem1_d0_critical_point())
+    return theorem1_d0_cubic_poly()(theorem1_d0_critical_point())
 
 
 def _t1_kkt_c_from_b(b: Fraction) -> Fraction:

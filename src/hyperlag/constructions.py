@@ -308,7 +308,7 @@ def check_local_sparsity(A: UniformHypergraph, s: int) -> SparsityCheck:
         return SparsityCheck(True, None)
     max_edges = s - A.r + 2
 
-    edges = [frozenset(e) for e in A.edges]
+    edges = [frozenset(e) for e in A.edge_array.tolist()]
     touching: dict[int, set[int]] = {}
     for idx, e in enumerate(edges):
         for v in e:
@@ -403,7 +403,7 @@ def assemble_gstar(
     mapped = np.asarray(part, dtype=np.int64)[adder.edge_array - 1]
     G = UniformHypergraph(base.r, base.n, np.concatenate([base.edge_array, mapped]))
     if G.m < base.m + adder.m:
-        clash = set(base.edges).intersection(map(tuple, mapped.tolist()))
+        clash = set(map(tuple, base.edge_array.tolist())).intersection(map(tuple, mapped.tolist()))
         raise ValueError(f"mapped adder edge {min(clash)} already in the base")
     return G
 

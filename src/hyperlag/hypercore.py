@@ -7,9 +7,10 @@ lexicographic order, and equality means equal r, n and edge array
 everything here can be shared freely across threads.
 
 The Lagrangian of a hypergraph G at a weighting x is the sum, over edges,
-of the product of the member weights.  Pass a ``WeightVector`` or floats,
-evaluated on the edge array, or any sequence of ``Fraction`` values for
-exact arithmetic.
+of the product of the member weights.  One product kernel gathers weights
+through the columns of the edge array for every number type: float64 for a
+``WeightVector`` or floats, Python objects for ``Fraction``, ``Surd``, int or
+mixed weights, which stay exact.
 """
 
 from __future__ import annotations
@@ -84,11 +85,6 @@ class UniformHypergraph:
     @property
     def m(self) -> int:
         return len(self.edge_array)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, ...], ...]:
-        """The edges as sorted r-tuples in lexicographic order, built on first use."""
-        return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
     def links(self) -> tuple[np.ndarray, np.ndarray]:
@@ -169,24 +165,31 @@ def _weight_seq(G: UniformHypergraph, x: Weights):
     return w
 
 
+def _row_products(E: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The product of x over each row of E (0-based ids), left to right, at a
+    point or at each row of a matrix; ``np.take`` keeps C order, so a matrix
+    row multiplies in the same order as a point.  On an object array every
+    product is Python's own ``*``."""
+    prod = np.take(x, E[:, 0], axis=-1)
+    for col in E.T[1:]:
+        prod *= np.take(x, col, axis=-1)
+    return prod
+
+
 def lagrangian_value(G: UniformHypergraph, x: Weights):
-    """Sum over edges of the product of member weights; exact if x is exact.  On
-    floats, as on exact weights, products run left to right and the sum edge by edge."""
+    """Sum over edges of the product of member weights; exact if x is exact.
+    Products run left to right and the sum edge by edge, on float64 when every
+    weight is a float and on Python objects otherwise; no edges give int 0."""
     w = _weight_seq(G, x)
-    if G.m and all(isinstance(v, float) for v in w):
-        xf, E = np.array(w, dtype=float), G.edge_array - 1
-        with np.errstate(all="ignore"):  # float arithmetic overflows silently, as in the loop
-            prod = xf[E[:, 0]]
-            for col in E.T[1:]:
-                prod *= xf[col]
-            return float(np.add.accumulate(prod)[-1]) + 0.0  # as the loop's 0 + ..., never -0.0
-    total = 0
-    for e in G.edges:
-        prod = w[e[0] - 1]
-        for v in e[1:]:
-            prod = prod * w[v - 1]
-        total = total + prod
-    return total
+    if not G.m:
+        return 0
+    a = np.empty(G.n, dtype=float if all(isinstance(v, float) for v in w) else object)
+    a[:] = w  # slot by slot: numpy never unpacks a weight
+    with np.errstate(all="ignore"):  # float arithmetic overflows silently, as in Python
+        prod = _row_products(G.edge_array - 1, a)
+        # in place, so exact products are freed as the partial sums replace them;
+        # the final + 0 is the loop's 0 + ...: it turns -0.0 into 0.0
+        return np.add.accumulate(prod, out=prod)[-1:].tolist()[0] + 0
 
 
 def density(G: UniformHypergraph) -> Fraction:

@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .hypercore import (
-    UniformHypergraph, WeightVector, _lex_unique, lagrangian_value, link_difference)
+    UniformHypergraph, WeightVector, _lex_unique, _row_products, lagrangian_value, link_difference)
 
 __all__ = [
     "OptimizerConfig",
@@ -93,12 +93,9 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _value(E: np.ndarray, x: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
-    """Sum over rows of coef * prod x[row] (coef None: all ones), the product
-    left to right, at a point or at each row of a matrix; ``np.take`` keeps C
-    order, so a matrix row sums in the same order as a point."""
-    prod = np.take(x, E[:, 0], axis=-1)
-    for col in E.T[1:]:
-        prod *= np.take(x, col, axis=-1)
+    """Sum over rows of coef * prod x[row] (coef None: all ones), at a point or
+    at each row of a matrix; numpy's pairwise sum."""
+    prod = _row_products(E, x)
     return (prod if coef is None else np.multiply(prod, coef, out=prod)).sum(axis=-1)
 
 

@@ -1,10 +1,17 @@
-"""Test-side reference implementations: plain loops over ``G.edges`` and
-vertex subsets that the library's code must agree with.  Not a test module;
-the test files import from it."""
+"""Test-side reference implementations: plain loops over edge tuples and
+vertex subsets that the library's code must agree with; the library's
+Lagrangian runs one product kernel over the edge array for every number
+type.  Not a test module; the test files import from it."""
 
 import itertools
 
 from hyperlag.constructions import SparsityCheck
+from hyperlag.hypercore import UniformHypergraph
+
+
+def edges(G) -> tuple:
+    """The edges of G as sorted tuples of ints, in lexicographic order."""
+    return tuple(map(tuple, G.edge_array.tolist()))
 
 
 def _weights(G, x):
@@ -19,7 +26,7 @@ def lagrangian_value_loop(G, x):
     product taken left to right; the sum starts from the integer 0."""
     w = _weights(G, x)
     total = 0
-    for e in G.edges:
+    for e in edges(G):
         prod = w[e[0] - 1]
         for v in e[1:]:
             prod = prod * w[v - 1]
@@ -31,7 +38,7 @@ def lagrangian_gradient(G, x) -> list:
     """Entry i is the sum over edges containing i of the product of the other weights."""
     w = _weights(G, x)
     grad = [0] * G.n
-    for e in G.edges:
+    for e in edges(G):
         for skip in range(len(e)):
             prod = 1
             for j, v in enumerate(e):
@@ -46,7 +53,7 @@ def links_reference(G) -> dict:
     vertices of positive degree: ``links[v]`` holds the sorted (r-1)-tuples S
     with S + {v} an edge."""
     acc = {}
-    for e in G.edges:
+    for e in edges(G):
         for k, v in enumerate(e):
             acc.setdefault(v, set()).add(e[:k] + e[k + 1:])
     return {v: frozenset(s) for v, s in acc.items()}
@@ -54,12 +61,21 @@ def links_reference(G) -> dict:
 
 def brute_link_difference(G, j, i):
     """Scan every edge for the link difference L(j \\ i)."""
-    out, edges = set(), set(G.edges)
-    for edge in G.edges:
+    out, present = set(), set(edges(G))
+    for edge in present:
         rest = tuple(v for v in edge if v != j)
-        if len(rest) < len(edge) and i not in rest and tuple(sorted(rest + (i,))) not in edges:
+        if len(rest) < len(edge) and i not in rest and tuple(sorted(rest + (i,))) not in present:
             out.add(rest)
     return frozenset(out)
+
+
+def reduce_star_reference(M, part):
+    """Drop every edge inside ``part``, then add the star edges (a, b, v)
+    through its two lowest vertices a < b, for each other member v."""
+    members = sorted(set(part))
+    kept = [e for e in edges(M) if not set(members).issuperset(e)]
+    star = [(members[0], members[1], v) for v in members[2:]]
+    return UniformHypergraph(M.r, M.n, kept + star)
 
 
 def check_local_sparsity_naive(A, s: int) -> SparsityCheck:
@@ -71,7 +87,7 @@ def check_local_sparsity_naive(A, s: int) -> SparsityCheck:
         allowed = size - A.r + 1
         for v0 in itertools.combinations(range(1, A.n + 1), size):
             inside = set(v0)
-            count = sum(1 for e in A.edges if inside.issuperset(e))
+            count = sum(1 for e in edges(A) if inside.issuperset(e))
             if count > allowed:
                 return SparsityCheck(False, v0)
     return SparsityCheck(True, None)

@@ -35,7 +35,7 @@ from hyperlag.optimize import (
     maximize_lagrangian,
     verify_stationarity,
 )
-from reference import check_local_sparsity_naive, lagrangian_gradient
+from reference import check_local_sparsity_naive, edges, lagrangian_gradient
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -166,7 +166,7 @@ def test_08_fact_suite():
     for _ in range(30):
         G = random_graph(rng)
         m = rng.choice([2, 3])
-        B = blow_up_pattern(PartitionPattern(G.r, (F(1, G.n),) * G.n, G.edges), [m] * G.n)
+        B = blow_up_pattern(PartitionPattern(G.r, (F(1, G.n),) * G.n, edges(G)), [m] * G.n)
         gap = abs(maximize_lagrangian(B, cfg).value
                   - maximize_lagrangian(G, cfg).value)
         worst = max(worst, gap)
@@ -178,10 +178,10 @@ def test_08_fact_suite():
     for _ in range(10):
         n = rng.randint(4, 6)
         pool = list(itertools.combinations(range(1, n + 1), 3))
-        edges = rng.sample(pool, rng.randint(1, len(pool) - 1))
-        G1 = UniformHypergraph(3, n, edges)
-        extra = rng.choice([e for e in pool if e not in edges])
-        if maximize_lagrangian(UniformHypergraph(3, n, edges + [extra]), cfg).value \
+        chosen = rng.sample(pool, rng.randint(1, len(pool) - 1))
+        G1 = UniformHypergraph(3, n, chosen)
+        extra = rng.choice([e for e in pool if e not in chosen])
+        if maximize_lagrangian(UniformHypergraph(3, n, chosen + [extra]), cfg).value \
                 < maximize_lagrangian(G1, cfg).value - 1e-9:
             mono_ok = False
 

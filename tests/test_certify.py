@@ -37,6 +37,7 @@ from hyperlag.constructions import (
 )
 from hyperlag.hypercore import UniformHypergraph
 from hyperlag.optimize import OptimizerConfig, maximize_lagrangian
+from reference import edges, reduce_star_reference
 
 
 # ---------------------------------------------------------------------------
@@ -46,20 +47,34 @@ from hyperlag.optimize import OptimizerConfig, maximize_lagrangian
 def test_reduce_star_replaces_internal_edges():
     M = UniformHypergraph(3, 6, [(1, 2, 3), (2, 3, 4), (3, 4, 5), (1, 2, 6)])
     N = reduce_star(M, [1, 2, 3, 4, 5])
-    assert N.edges == ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6))
+    assert edges(N) == ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6))
 
 
 def test_reduce_star_adds_star_even_when_part_was_empty():
     M = UniformHypergraph(3, 5, [(1, 4, 5)])
     N = reduce_star(M, [1, 2, 3])
-    assert N.edges == ((1, 2, 3), (1, 4, 5))
+    assert edges(N) == ((1, 2, 3), (1, 4, 5))
 
 
 def test_reduce_star_small_part_is_identity():
     M = UniformHypergraph(3, 5, [(1, 2, 3)])
     assert reduce_star(M, [4, 5]) == M
-    with pytest.raises(ValueError):
-        reduce_star(M, [4, 9])
+    for part in ([4, 9], [0, 4], [-1, 4, 5]):
+        with pytest.raises(ValueError, match="vertex range 1..5"):
+            reduce_star(M, part)
+
+
+def test_reduce_star_is_the_tuple_filter():
+    rng = random.Random(20)
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        pool = list(itertools.combinations(range(1, n + 1), 3))
+        M = UniformHypergraph(3, n, rng.sample(pool, rng.randint(0, len(pool))))
+        part = rng.sample(range(1, n + 1), rng.choice([0, 1, 2, rng.randint(3, n)]))
+        assert reduce_star(M, part) == reduce_star_reference(M, part), (edges(M), part)
+    # a part that holds no edge only gains its star
+    M = UniformHypergraph(3, 7, [(1, 2, 5), (3, 6, 7)])
+    assert edges(reduce_star(M, [2, 3, 4, 6])) == ((1, 2, 5), (2, 3, 4), (2, 3, 6), (3, 6, 7))
 
 
 def test_reduce_star_never_decreases_optimum_under_sparsity_cap():

@@ -25,7 +25,6 @@ from hyperlag.closedform import (
     theorem1_bound_gradient,
     theorem1_bound_poly,
     theorem1_d0_critical_point,
-    theorem1_d0_cubic,
     theorem1_d0_peak_value,
     theorem3_bound,
     theorem3_bound_chain,
@@ -292,8 +291,9 @@ def test_check_simplex_checks_every_row_of_a_batch():
 
 
 def test_d0_cubic_values():
-    assert theorem1_d0_cubic(F(1, 3)) == F(1, 27)
-    assert theorem1_d0_cubic(F(1, 2)) == F(1, 16)
+    cubic = closedform.theorem1_d0_cubic_poly()
+    assert cubic(F(1, 3)) == F(1, 27)
+    assert cubic(F(1, 2)) == F(1, 16)
     bstar = theorem1_d0_critical_point()
     assert bstar == surd(F(7, 11), F(-1, 11), 5)
     peak = theorem1_d0_peak_value()

@@ -28,7 +28,7 @@ from hyperlag.constructions import (
     theorem1_pattern,
 )
 from hyperlag.hypercore import UniformHypergraph, lagrangian_value
-from reference import check_local_sparsity_naive
+from reference import check_local_sparsity_naive, edges
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +186,21 @@ def check_local_sparsity_unpruned(A, s):
     if s == A.r or A.m < 2:
         return SparsityCheck(True, None)
     max_edges = s - A.r + 2
-    edges = A.edges
+    rows = edges(A)
     touching = {}
-    for idx, e in enumerate(edges):
+    for idx, e in enumerate(rows):
         for v in e:
             touching.setdefault(v, set()).add(idx)
     neighbors = [
         sorted(set().union(*(touching[v] for v in e)) - {idx})
-        for idx, e in enumerate(edges)
+        for idx, e in enumerate(rows)
     ]
-    for root in range(len(edges)):
+    for root in range(len(rows)):
         ext0 = [j for j in neighbors[root] if j > root]
         stack = [([root], ext0, {root, *ext0})]
         while stack:
             subset, ext, seen = stack.pop()
-            verts = set().union(*(edges[idx] for idx in subset))
+            verts = set().union(*(rows[idx] for idx in subset))
             if len(subset) >= 2 and len(verts) <= len(subset) + A.r - 2:
                 return SparsityCheck(False, tuple(sorted(verts)))
             if len(subset) == max_edges:
@@ -213,7 +213,7 @@ def check_local_sparsity_unpruned(A, s):
 
 def edges_inside(A, vertices):
     inside = set(vertices)
-    return sum(1 for e in A.edges if inside.issuperset(e))
+    return sum(1 for e in edges(A) if inside.issuperset(e))
 
 
 def test_sparsity_counterexample_with_witness():
@@ -264,7 +264,7 @@ def test_fast_checker_agrees_with_naive():
         assert fast.ok == naive.ok
         if not fast.ok:
             inside = set(fast.witness)
-            hits = sum(1 for e in A.edges if inside.issuperset(e))
+            hits = sum(1 for e in edges(A) if inside.issuperset(e))
             assert hits > len(inside) - 2
 
 
@@ -299,10 +299,10 @@ def test_checker_scales_to_a_1440_edge_adder_with_a_planted_violation():
     assert A.m == 1440
     assert check_local_sparsity(A, 4) == SparsityCheck(True, None)
     # {x, y, z} plus {x, y, w} and {x, z, w}: 3 edges on 4 = s vertices, 2 allowed
-    x, y, z = A.edges[0]
+    x, y, z = edges(A)[0]
     w = next(v for v in range(1, A.n + 1) if v not in (x, y, z))
     planted = {(x, y, z), tuple(sorted((x, y, w))), tuple(sorted((x, z, w)))}
-    B = UniformHypergraph(3, A.n, set(A.edges) | planted)
+    B = UniformHypergraph(3, A.n, set(edges(A)) | planted)
     assert B.m > A.m
     chk = check_local_sparsity(B, 4)
     assert not chk.ok and len(chk.witness) <= 4
@@ -338,7 +338,7 @@ def test_assemble_gstar_counts():
     adder = UniformHypergraph(3, 10, list(itertools.combinations(range(1, 11), 3))[:100])
     G = assemble_gstar(base, adder, v1)
     assert G.m == base.m + 100
-    assert set(base.edges).issubset(G.edges)
+    assert set(edges(base)).issubset(edges(G))
     assert lagrangian_value(G, [F(1, 25)] * 25) == F(2, 25) + F(1, 625)
     # empty adder leaves the base untouched
     assert assemble_gstar(base, UniformHypergraph(3, 10, []), v1) == base
@@ -352,6 +352,14 @@ def test_assemble_gstar_errors():
     with pytest.raises(ValueError, match=r"edge \(1, 2, 13\) already"):
         assemble_gstar(build_theorem1_base(25), clash,
                        [1, 2, 11, 12, 13, 14, 15, 16, 17, 21])
+
+
+def test_assemble_gstar_names_the_smallest_clash():
+    # the adder rows (1, 2, 4) and (2, 3, 4) map onto base edges, (1, 3, 4) does not
+    base = UniformHypergraph(3, 6, [(1, 2, 3), (2, 4, 6), (3, 5, 6), (4, 5, 6)])
+    adder = UniformHypergraph(3, 4, [(2, 3, 4), (1, 3, 4), (1, 2, 4)])
+    with pytest.raises(ValueError, match=r"^mapped adder edge \(2, 4, 6\) already in the base$"):
+        assemble_gstar(base, adder, [2, 4, 5, 6])
 
 
 def test_metadata_fixed_fields():

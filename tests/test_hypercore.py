@@ -23,9 +23,11 @@ from hyperlag.hypercore import (
     read_hypergraph,
     write_hypergraph,
 )
+from hyperlag.closedform import Surd
 from hyperlag.constructions import PartitionPattern, blow_up_pattern, build_theorem1_base
 from hyperlag.optimize import maximize_lagrangian, quotient, symmetry_reduce, verify_stationarity
-from reference import brute_link_difference, lagrangian_gradient, lagrangian_value_loop, links_reference
+from reference import (
+    brute_link_difference, edges, lagrangian_gradient, lagrangian_value_loop, links_reference)
 
 
 def complete3(n):
@@ -46,7 +48,7 @@ def random_graph_r(rng, r, n):
 
 def blow_up(G, sizes):
     """Vertex i of G becomes a class of sizes[i-1] twins, in consecutive blocks."""
-    return blow_up_pattern(PartitionPattern(G.r, (F(1, G.n),) * G.n, G.edges), sizes)
+    return blow_up_pattern(PartitionPattern(G.r, (F(1, G.n),) * G.n, edges(G)), sizes)
 
 
 def symmetrize_pair(G, x, i, j):
@@ -107,21 +109,21 @@ def edge_lists(draw, faulty=True):
 
 @given(edge_lists())
 def test_edge_array_matches_the_tuple_canonicalization(case):
-    r, n, edges = case
+    r, n, rows = case
     try:
-        want = canonical_reference(r, n, edges)
+        want = canonical_reference(r, n, rows)
     except ValueError as exc:
         with pytest.raises(ValueError) as err:
-            UniformHypergraph(r, n, edges)
+            UniformHypergraph(r, n, rows)
         assert str(err.value) == str(exc)
         return
-    G = UniformHypergraph(r, n, edges)
-    assert G.edges == want and G.m == len(want)
+    G = UniformHypergraph(r, n, rows)
+    assert edges(G) == want and G.m == len(want)
     assert G.edge_array.dtype == np.int64 and G.edge_array.shape == (len(want), r)
     assert not G.edge_array.flags.writeable
-    for same in (UniformHypergraph(r, n, want), UniformHypergraph(r, n, np.array(edges).reshape(-1, r))):
+    for same in (UniformHypergraph(r, n, want), UniformHypergraph(r, n, np.array(rows).reshape(-1, r))):
         assert same == G and hash(same) == hash(G)
-    assert G != UniformHypergraph(r, n + 1, edges)
+    assert G != UniformHypergraph(r, n + 1, rows)
     if want:
         assert G != UniformHypergraph(r, n, want[1:])
 
@@ -134,7 +136,7 @@ def test_parse_of_format_is_the_graph(case):
 
 def test_edges_canonicalized_and_validated():
     G = UniformHypergraph(3, 5, [(3, 2, 1), (1, 2, 3), (5, 4, 1)])
-    assert G.edges == ((1, 2, 3), (1, 4, 5))
+    assert edges(G) == ((1, 2, 3), (1, 4, 5))
     assert G.m == 2
     with pytest.raises(ValueError):
         UniformHypergraph(3, 3, [(1, 2, 4)])
@@ -210,6 +212,49 @@ def test_exact_lagrangian_stays_exact():
         assert type(got) is F and got == lagrangian_value_loop(G, x)
 
 
+def _exact_weights(rng, kind, n):
+    """n weights of one kind; "mixed" puts Fraction, float and signed zeros
+    together, "extreme" overflowing and subnormal floats beside a Fraction."""
+    frac = lambda: F(rng.randint(-9, 9), rng.randint(1, 9))
+    if kind == "fraction":
+        return [frac() for _ in range(n)]
+    if kind == "int":
+        return [rng.choice([rng.randint(-5, 5), rng.randint(-2**80, 2**80)]) for _ in range(n)]
+    if kind == "surd":
+        d = rng.choice([2, 3, 5])
+        return [rng.choice([Surd(frac(), frac(), d), frac(), rng.randint(-3, 3)]) for _ in range(n)]
+    pool = [-0.0, 0.0, F(0)] + ([1e300, -1e300, 5e-324, F(10**300)] if kind == "extreme" else [])
+    return [rng.choice([frac, lambda: rng.uniform(-4, 4), lambda: rng.choice(pool)])()
+            for _ in range(n)]
+
+
+def _outcome(f, G, x):
+    """(type, repr) of f(G, x), or the type of what it raises."""
+    try:
+        got = f(G, x)
+    except OverflowError as exc:  # a Fraction beyond the float range times a float
+        return type(exc)
+    return type(got), repr(got)
+
+
+def test_exact_lagrangian_is_the_edge_loop():
+    # the object path: same type and repr as the loop, for every number type
+    rng = random.Random(32)
+    for kind in ("fraction", "int", "surd", "mixed", "extreme"):
+        for _ in range(120):
+            r = rng.choice([2, 3, 4])
+            G = random_graph_r(rng, r, rng.randint(r + 3, 8))
+            x = _exact_weights(rng, kind, G.n)
+            assert _outcome(lagrangian_value, G, x) == _outcome(lagrangian_value_loop, G, x), x
+    # every product -0.0: the loop's 0 + -0.0 is 0.0
+    G = UniformHypergraph(3, 4, [(1, 2, 3), (2, 3, 4)])
+    assert repr(lagrangian_value(G, [F(1), -0.0, 1.0, F(2)])) == "0.0"
+    for x in ([0.5] * 4, WeightVector.uniform(4), [F(1, 4)] * 4, [Surd.sqrt(2)] * 4, [3] * 4,
+              [F(1, 4), 0.25, -0.0, 0.25]):
+        got = lagrangian_value(UniformHypergraph(3, 4, []), x)
+        assert type(got) is int and got == 0
+
+
 def test_lagrangian_dimension_mismatch():
     G = UniformHypergraph(3, 3, [(1, 2, 3)])
     with pytest.raises(ValueError):
@@ -269,7 +314,7 @@ def test_pointwise_monotonicity_under_subgraph():
     rng = random.Random(29)
     for _ in range(10):
         G2 = random_graph(rng, n_lo=4, min_edges=2)
-        sub_edges = rng.sample(G2.edges, rng.randint(1, G2.m - 1))
+        sub_edges = rng.sample(edges(G2), rng.randint(1, G2.m - 1))
         G1 = UniformHypergraph(3, G2.n, sub_edges)
         x = WeightVector(tuple(rng.random() + 0.01 for _ in range(G2.n)))
         assert lagrangian_value(G1, x) <= lagrangian_value(G2, x) + 1e-15
@@ -353,7 +398,7 @@ def test_link_index_matches_the_tuple_links(case):
 @given(edge_lists(faulty=False), st.data())
 def test_link_difference_matches_the_edge_scan_at_any_n(case, data):
     G = UniformHypergraph(*case)
-    touched = sorted({v for e in G.edges for v in e} | {1, G.n})
+    touched = sorted({v for e in edges(G) for v in e} | {1, G.n})
     pick = data.draw(st.lists(st.sampled_from(touched), min_size=2, max_size=4, unique=True))
     for j, i in itertools.permutations(pick, 2):
         assert link_difference(G, j, i) == brute_link_difference(G, j, i)
@@ -466,7 +511,7 @@ def test_format_round_trip(tmp_path):
 def test_format_comments_and_layout():
     text = "# a comment\n3 4 2  # trailing\n1 2 3\n\n2 3 4\n"
     G = parse_hypergraph(text)
-    assert G.edges == ((1, 2, 3), (2, 3, 4))
+    assert edges(G) == ((1, 2, 3), (2, 3, 4))
     assert format_hypergraph(G).splitlines()[0] == "3 4 2"
 
 

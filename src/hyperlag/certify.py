@@ -187,11 +187,11 @@ def _grid_refine_max(
     and ``grad`` take one numpy column per coordinate, one point per row."""
     best_vals, best_pts = np.empty(0), np.empty((0, dims))
     for chunk in iter_lattice(dims, resolution, cap):
-        pts = chunk.astype(float) / resolution
-        vals = fn(*pts.T)
+        pts = chunk.T / resolution  # one contiguous row per coordinate
+        vals = fn(*pts)
         idx = np.argpartition(vals, -min(top, vals.size))[-top:]
         best_vals = np.concatenate([best_vals, vals[idx]])
-        best_pts = np.vstack([best_pts, pts[idx]])
+        best_pts = np.vstack([best_pts, pts[:, idx].T])
         if best_vals.size > top:
             keep = np.argpartition(best_vals, -top)[-top:]
             best_vals, best_pts = best_vals[keep], best_pts[keep]

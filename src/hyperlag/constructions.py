@@ -341,6 +341,8 @@ def _insertion_violation(
 ) -> tuple[int, ...] | None:
     """A fresh violation after inserting new_edge must contain it, so only
     supersets of the new edge up to size s need scanning."""
+    if s <= r:
+        return None
     base = set(new_edge)
     others = [v for v in range(1, t + 1) if v not in base]
     for extra in range(1, s - r + 1):

@@ -308,37 +308,55 @@ def quotient(G: UniformHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 # Brute-force lattice oracle
 # ---------------------------------------------------------------------------
 
-_LATTICE_CAP = 2**16
+_LATTICE_CAP = 2**14
 
 
-def _compositions(n: int, total: int) -> np.ndarray:
-    """All nonnegative integer n-vectors summing to total, one per row, in
-    lexicographic order.
-
-    Built one column at a time: a row whose entries so far leave ``rest``
-    is repeated rest + 1 times, and its next entry counts 0..rest along that
-    run (the run's position minus the run's cumsum offset); the last entry
-    is what is left.
-    """
-    cols, rest = [], np.array([total], dtype=np.int64)
-    for _ in range(n - 1):
+def _complete(cols: list, rest: np.ndarray, k: int) -> np.ndarray:
+    """Each row of the prefix columns ``cols`` followed by every k-vector of
+    nonnegative integers summing to its ``rest``, in lexicographic order and
+    column by column.  A row leaving ``rest`` is repeated rest + 1 times, its
+    next entry counting 0..rest along that run; the last entry is what is left."""
+    for _ in range(k - 1):
         runs = rest + 1
         offsets = np.repeat(np.cumsum(runs) - runs, runs)
         entry = np.arange(offsets.size) - offsets
         cols = [np.repeat(col, runs) for col in cols] + [entry]
         rest = np.repeat(rest, runs) - entry
-    return np.column_stack(cols + [rest])
+    return np.stack(cols + [rest]).T
+
+
+def _compositions(n: int, total: int) -> np.ndarray:
+    """All nonnegative integer n-vectors summing to total, one per row, in
+    lexicographic order, stored column by column."""
+    return _complete([], np.array([total], dtype=np.int64), n)
+
+
+def _lattice_runs(prefix: list, n: int, rest: int, cap: int):
+    """Rows starting with ``prefix`` that spread ``rest`` over n >= 2 more
+    coordinates, in order: runs of next-coordinate values whose sub-lattices
+    fit in ``cap`` rows together, a value too large alone split on the next."""
+    sizes = [comb(rest - v + n - 2, n - 2) for v in range(rest + 1)]
+    v = 0
+    while v <= rest:
+        end, rows = v + 1, sizes[v]
+        if rows > cap and n > 2:
+            yield from _lattice_runs(prefix + [v], n - 1, rest - v, cap)
+        else:
+            while end <= rest and rows + sizes[end] <= cap:
+                rows, end = rows + sizes[end], end + 1
+            first = np.arange(v, end, dtype=np.int64)
+            cols = [np.full_like(first, p) for p in prefix]
+            yield _complete(cols + [first], rest - first, n - 1)
+        v = end
 
 
 def iter_lattice(n: int, total: int, cap: int = _LATTICE_CAP):
-    """Yield the barycentric lattice in chunks of at most ``cap`` rows."""
-    if comb(total + n - 1, n - 1) <= cap or n == 1:
+    """Yield the rows of ``_compositions(n, total)`` in order, stored like it,
+    in chunks of at most ``cap`` rows (one row each when cap < 1)."""
+    if n == 1:
         yield _compositions(n, total)
-        return
-    for first in range(total + 1):
-        for chunk in iter_lattice(n - 1, total - first, cap):
-            col = np.full((chunk.shape[0], 1), first, dtype=np.int64)
-            yield np.hstack([col, chunk])
+    else:
+        yield from _lattice_runs([], n, total, cap)
 
 
 def grid_oracle(G: UniformHypergraph, resolution: int, allow_large: bool = False) -> Fraction:
@@ -368,7 +386,7 @@ def grid_oracle(G: UniformHypergraph, resolution: int, allow_large: bool = False
     cap = max(1, min(_LATTICE_CAP, 2**21 // G.m))
     best = 0
     for chunk in iter_lattice(G.n, resolution, cap):
-        counts = chunk.T.copy()
+        counts = chunk.T
         prod = counts[E[:, 0]]
         for col in E.T[1:]:
             prod *= counts[col]

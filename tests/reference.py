@@ -4,6 +4,8 @@ Lagrangian runs one product kernel over the edge array for every number
 type.  Not a test module; the test files import from it."""
 
 import itertools
+import random
+from fractions import Fraction
 
 from hyperlag.constructions import SparsityCheck
 from hyperlag.hypercore import UniformHypergraph
@@ -46,6 +48,16 @@ def lagrangian_gradient(G, x) -> list:
                     prod = prod * w[v - 1]
             grad[e[skip] - 1] = grad[e[skip] - 1] + prod
     return grad
+
+
+def grid_oracle_reference(G, N: int) -> Fraction:
+    """The largest Lagrangian over the lattice points a/N, evaluated in
+    Fractions at every composition a of N (stars and bars)."""
+    best = Fraction(0)
+    for bars in itertools.combinations(range(N + G.n - 1), G.n - 1):
+        a = [b - prev - 1 for prev, b in zip((-1,) + bars, bars + (N + G.n - 1,))]
+        best = max(best, lagrangian_value_loop(G, [Fraction(v, N) for v in a]))
+    return best
 
 
 def links_reference(G) -> dict:
@@ -91,3 +103,12 @@ def check_local_sparsity_naive(A, s: int) -> SparsityCheck:
             if count > allowed:
                 return SparsityCheck(False, v0)
     return SparsityCheck(True, None)
+
+
+def unconstrained_adder_reference(t: int, r: int, target: int, seed: int) -> UniformHypergraph:
+    """The adder at s = r, where no edge set is too dense: the first
+    ``target`` distinct sorted draws of r vertices out of 1..t."""
+    rng, drawn = random.Random(seed), set()
+    while len(drawn) < target:
+        drawn.add(tuple(sorted(rng.sample(range(1, t + 1), r))))
+    return UniformHypergraph(r, t, sorted(drawn))

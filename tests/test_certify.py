@@ -426,5 +426,6 @@ def test_grid_search_unaffected_by_chunking():
 
     fn, grad = theorem1_bound_poly, theorem1_bound_gradient
     whole = _grid_refine_max(fn, grad, 4, 24, 50, 20)
-    chunked = _grid_refine_max(fn, grad, 4, 24, 50, 20, cap=500)
-    assert whole[0] == pytest.approx(chunked[0], abs=1e-12)
+    for cap in (500, 7):
+        value, witness = _grid_refine_max(fn, grad, 4, 24, 50, 20, cap=cap)
+        assert value == whole[0] and witness.tobytes() == whole[1].tobytes()

@@ -28,7 +28,7 @@ from hyperlag.constructions import (
     theorem1_pattern,
 )
 from hyperlag.hypercore import UniformHypergraph, lagrangian_value
-from reference import check_local_sparsity_naive, edges
+from reference import check_local_sparsity_naive, edges, unconstrained_adder_reference
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +324,14 @@ def test_generate_sparse_adder_desk_scale():
 def test_generate_s3_is_unconstrained():
     A = generate_sparse_adder(SparseAdderParams(s=3, c=1.0, t=10, seed=2))
     assert A.m == 100
+
+
+@pytest.mark.parametrize("r, t, c, seed", [
+    (3, 10, 1.0, 2), (3, 57, 1.0, 0), (2, 12, 0.5, 1), (4, 9, 0.1, 3)])
+def test_adder_at_s_equal_r_keeps_the_first_distinct_draws(r, t, c, seed):
+    params = SparseAdderParams(s=r, c=c, t=t, r=r, seed=seed)
+    A = generate_sparse_adder(params)
+    assert A == unconstrained_adder_reference(t, r, params.target_edges(), seed)
 
 
 def test_generate_failure_advises_larger_t():

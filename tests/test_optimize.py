@@ -27,6 +27,7 @@ from hyperlag.hypercore import (
 )
 from hyperlag.optimize import (
     _ARMIJO,
+    _LATTICE_CAP,
     OptimizerConfig,
     _ascend,
     _compositions,
@@ -34,13 +35,14 @@ from hyperlag.optimize import (
     _kkt_residuals,
     _value,
     grid_oracle,
+    iter_lattice,
     maximize_lagrangian,
     project_to_simplex,
     quotient,
     symmetry_reduce,
     verify_stationarity,
 )
-from reference import brute_link_difference, edges
+from reference import brute_link_difference, edges, grid_oracle_reference
 
 
 def complete3(n):
@@ -458,10 +460,39 @@ def test_batched_ascent_rows_are_independent():
 
 
 def test_lattice_chunking_matches_dense():
-    from hyperlag.optimize import iter_lattice
+    def check(chunks, n, total, cap):
+        assert np.array_equal(np.vstack(chunks), _compositions(n, total))
+        for chunk in chunks:
+            assert 1 <= len(chunk) <= cap and chunk.shape[1] == n
+            assert chunk.T.flags.c_contiguous
 
-    dense = _compositions(4, 8)
-    chunked = np.vstack(list(iter_lattice(4, 8, cap=20)))
-    assert dense.shape == chunked.shape
-    assert set(map(tuple, dense.tolist())) == set(map(tuple, chunked.tolist()))
-    assert set(chunked.sum(axis=1).tolist()) == {8}
+    # (4, 8) at caps 1, 7 and 20 and (4, 30) at 100: the sub-lattice of the
+    # leading value 0 (45 and 496 rows) exceeds the cap, so it is split
+    for n, total, cap in [(1, 0, 1), (1, 9, 1), (2, 0, 1), (2, 9, 1), (2, 9, 7), (3, 0, 7),
+                          (3, 6, 7), (4, 8, 1), (4, 8, 7), (4, 8, 20), (5, 10, 7), (4, 30, 100)]:
+        check(list(iter_lattice(n, total, cap)), n, total, cap)
+    assert [len(chunk) for chunk in iter_lattice(3, 4, 0)] == [1] * 15
+    # the default cap at (4, 200): leading values grouped into runs, and one split
+    chunks = list(iter_lattice(4, 200))
+    check(chunks, 4, 200, _LATTICE_CAP)
+    leading = [np.unique(chunk[:, 0]) for chunk in chunks]
+    assert any(values.size > 1 for values in leading)
+    assert any(np.intersect1d(a, b).size for a, b in zip(leading, leading[1:]))
+
+
+@pytest.mark.parametrize("cap", [None, 1, 7])
+def test_grid_oracle_matches_the_fraction_reference(monkeypatch, cap):
+    import hyperlag.optimize as optimize
+
+    if cap is not None:
+        monkeypatch.setattr(optimize, "_LATTICE_CAP", cap)
+    rng = random.Random(11)
+    graphs = [UniformHypergraph(2, 4, [(1, 2), (2, 3), (3, 4), (1, 3)]),
+              UniformHypergraph(3, 3, [(1, 2, 3)]),
+              UniformHypergraph(4, 5, [(1, 2, 3, 4), (1, 2, 3, 5), (2, 3, 4, 5)])]
+    for r in (2, 3, 4):
+        pool = list(itertools.combinations(range(1, 6), r))
+        graphs.append(UniformHypergraph(r, 5, rng.sample(pool, rng.randint(1, len(pool)))))
+    for G in graphs:
+        for N in (1, 2, 5, 8):
+            assert grid_oracle(G, N) == grid_oracle_reference(G, N)

@@ -182,28 +182,58 @@ def _grid_refine_max(
     cap: int = _LATTICE_CAP,
 ) -> tuple[float, np.ndarray]:
     """Maximize fn over the simplex: score every barycentric lattice point,
-    in chunks of at most ``cap`` points, then run projected ascent from the
-    ``top`` best, as one batch, until a step gains at most 1e-17.  ``fn``
-    and ``grad`` take one numpy column per coordinate, one point per row."""
+    keep the ``top`` best by value, ties to the lexicographically smaller
+    point, then run projected ascent from them, as one batch, until a step
+    gains at most 1e-17.  The result does not depend on ``cap``.
+
+    For dims >= 4 a point splits into a head, its first dims - 2
+    coordinates with sum s, and a tail (j, rest - j) / resolution for
+    j = 0..rest with rest = resolution - s.  Heads come from ``iter_lattice``
+    as (H, 1) columns, tails as two views of one row, so ``fn`` scores an
+    (H, rest + 1) block of at most max(cap, rest + 1) points by broadcasting,
+    in lexicographic order along the flat index.  ``fn`` and ``grad`` must
+    be elementwise numpy expressions that broadcast; the ascent passes them
+    one column per coordinate, one point per row."""
+    if top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
+    # three coordinates stay whole: a one-coordinate head would score one
+    # row per block, far slower than the 3-column lattice chunks
+    split = 2 if dims >= 4 else 0
+    v = np.arange(resolution + 1) / resolution
     best_vals, best_pts = np.empty(0), np.empty((0, dims))
-    for chunk in iter_lattice(dims, resolution, cap):
-        pts = chunk.T / resolution  # one contiguous row per coordinate
-        vals = fn(*pts)
-        idx = np.argpartition(vals, -min(top, vals.size))[-top:]
-        best_vals = np.concatenate([best_vals, vals[idx]])
-        best_pts = np.vstack([best_pts, pts[:, idx].T])
-        if best_vals.size > top:
-            keep = np.argpartition(best_vals, -top)[-top:]
-            best_vals, best_pts = best_vals[keep], best_pts[keep]
-    candidates = best_pts[np.argsort(best_vals)[::-1]]
+    for s in range(resolution + 1) if split else (resolution,):
+        rest = resolution - s
+        width = rest + 1 if split else 1
+        tail = (v[:width], v[rest::-1]) if split else ()
+        for head in iter_lattice(dims - split, s, max(1, cap // width)):
+            cols = head.T / resolution  # one contiguous row per head coordinate
+            vals = np.broadcast_to(fn(*cols[:, :, None], *tail), (len(head), width)).ravel()
+            # below the block's own top-th value nothing can be kept; a point
+            # tied with the last one kept may still win on order
+            k = min(top, vals.size)
+            floor = best_vals[-1] if best_vals.size == top else np.partition(vals, -k)[-k]
+            idx = np.flatnonzero(vals >= floor)
+            if idx.size > top:
+                cut = vals[idx]
+                thr = np.partition(cut, -top)[-top]
+                keep = cut > thr
+                keep[np.flatnonzero(cut == thr)[:top - keep.sum()]] = True
+                idx = idx[keep]
+            if not idx.size:
+                continue
+            row, j = divmod(idx, width)
+            best_vals = np.concatenate([best_vals, vals[idx]])
+            best_pts = np.vstack([best_pts, np.column_stack([*cols[:, row], *(t[j] for t in tail)])])
+            order = np.lexsort((*best_pts.T[::-1], -best_vals))[:top]
+            best_vals, best_pts = best_vals[order], best_pts[order]
     X, F, _ = _ascend(lambda P: fn(*P.T),
                       lambda P: np.column_stack(np.broadcast_arrays(*grad(*P.T))),
-                      candidates, refine_iters, lambda P, vals, G, gain: gain <= 1e-17)
+                      best_pts, refine_iters, lambda P, vals, G, gain: gain <= 1e-17)
     # a refined point wins only when strictly better; of equal ones, the first
     best = int(np.argmax(F))
-    if F[best] > best_vals.max():
+    if F[best] > best_vals[0]:
         return float(F[best]), X[best]
-    return float(best_vals.max()), candidates[0]
+    return float(best_vals[0]), best_pts[0]
 
 
 # ---------------------------------------------------------------------------

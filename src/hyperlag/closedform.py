@@ -496,16 +496,17 @@ def _check_simplex(values, label: str) -> None:
         return
     if first is not None:
         low = float(min(np.min(v) for v in values))
-        sums = np.zeros(np.broadcast(*values).shape)
-        for v in values:
-            sums += v  # in place, so the check holds one extra column
+        # left to right: on broadcast blocks only the sums from the first
+        # full-size column on run at full size
+        sums = sum(values)
         total = float(max(sums.min(), sums.max(), key=lambda s: abs(s - 1.0)))
     else:
         floats = [float(v) for v in values]
         low, total = min(floats), sum(floats)
-    if low < -1e-12:
+    # negated, so a NaN fails: the sum carries it even where min drops it
+    if not low >= -1e-12:
         raise ValueError(f"{label}: negative coordinate {low}")
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"{label}: coordinates sum to {total}, not 1")
 
 

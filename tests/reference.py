@@ -7,8 +7,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from hyperlag.constructions import SparsityCheck
 from hyperlag.hypercore import UniformHypergraph
+from hyperlag.optimize import _compositions
 
 
 def edges(G) -> tuple:
@@ -58,6 +61,16 @@ def grid_oracle_reference(G, N: int) -> Fraction:
         a = [b - prev - 1 for prev, b in zip((-1,) + bars, bars + (N + G.n - 1,))]
         best = max(best, lagrangian_value_loop(G, [Fraction(v, N) for v in a]))
     return best
+
+
+def grid_top_reference(fn, dims: int, N: int, top: int):
+    """The ``top`` best lattice points a/N of the simplex under ``fn``, scored
+    in one dense pass, one column per coordinate: (values, points), ranked by
+    value descending, ties by the lexicographically smaller point."""
+    pts = _compositions(dims, N) / N
+    vals = np.broadcast_to(fn(*pts.T), len(pts))
+    order = sorted(range(len(pts)), key=lambda i: (-vals[i], pts[i].tolist()))[:top]
+    return vals[order], pts[order]
 
 
 def links_reference(G) -> dict:

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from hyperlag.certify import (
@@ -37,7 +38,7 @@ from hyperlag.constructions import (
 )
 from hyperlag.hypercore import UniformHypergraph
 from hyperlag.optimize import OptimizerConfig, maximize_lagrangian
-from reference import edges, reduce_star_reference
+from reference import edges, grid_top_reference, reduce_star_reference
 
 
 # ---------------------------------------------------------------------------
@@ -429,3 +430,48 @@ def test_grid_search_unaffected_by_chunking():
     for cap in (500, 7):
         value, witness = _grid_refine_max(fn, grad, 4, 24, 50, 20, cap=cap)
         assert value == whole[0] and witness.tobytes() == whole[1].tobytes()
+
+
+def _integer_cubic(dims, seed):
+    """A cubic with small random integer coefficients, as a broadcasting
+    elementwise expression, and its gradient: (p.x)(q.x)(u.x) + sum c_i x_i^3.
+    It is symmetric in its first two coordinates, so grid values tie."""
+    coef = np.random.default_rng(seed).integers(-3, 4, size=(4, dims))
+    coef[:, 1] = coef[:, 0]
+    p, q, u, c = coef.tolist()
+
+    def dot(w, x):
+        return sum(wi * xi for wi, xi in zip(w, x))
+
+    def fn(*x):
+        return dot(p, x) * dot(q, x) * dot(u, x) + dot(c, [xi * xi * xi for xi in x])
+
+    def grad(*x):
+        P, Q, U = dot(p, x), dot(q, x), dot(u, x)
+        return tuple(p[i] * Q * U + q[i] * P * U + u[i] * P * Q + 3 * c[i] * x[i] * x[i]
+                     for i in range(dims))
+    return fn, grad
+
+
+@pytest.mark.parametrize("dims", [3, 4, 5])
+def test_grid_search_matches_dense_reference(dims):
+    from hyperlag.certify import _grid_refine_max
+    from hyperlag.closedform import theorem1_bound_gradient
+    from hyperlag.optimize import _LATTICE_CAP
+
+    fns = [_integer_cubic(dims, 33)]  # tied at the top for every dims and N here
+    if dims == 4:
+        fns.append((theorem1_bound_poly, theorem1_bound_gradient))
+    ties = 0
+    for (fn, grad), N in itertools.product(fns, (1, 2, 7, 24, 37)):
+        vals, pts = grid_top_reference(fn, dims, N, 5)
+        ties += vals[0] == vals[1]
+        for cap in (1, 7, 500, _LATTICE_CAP):
+            value, witness = _grid_refine_max(fn, grad, dims, N, 0, 5, cap=cap)
+            assert value == vals[0] and witness.tobytes() == pts[0].tobytes()
+    assert ties  # the order among tied points is exercised
+
+
+def test_grid_search_needs_a_candidate():
+    with pytest.raises(ValueError, match="top"):
+        certify_theorem1(grid_resolution=4, top=0)

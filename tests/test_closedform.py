@@ -290,6 +290,19 @@ def test_check_simplex_checks_every_row_of_a_batch():
         theorem1_bound_poly(*negative)
 
 
+@pytest.mark.parametrize("coord, row", [(0, 0), (2, 17)])
+def test_check_simplex_rejects_nan(coord, row):
+    # Python's min drops a NaN after the first position; the sum carries it
+    point = [0.5, 0.5, 0.0, 0.0]
+    point[coord] = math.nan
+    with pytest.raises(ValueError):
+        theorem1_bound_poly(*point)
+    cols = np.array(simplex_lattice(4), dtype=float).T
+    cols[coord, row] = math.nan
+    with pytest.raises(ValueError):
+        theorem1_bound_poly(*cols)
+
+
 def test_d0_cubic_values():
     cubic = closedform.theorem1_d0_cubic_poly()
     assert cubic(F(1, 3)) == F(1, 27)

@@ -18,7 +18,6 @@ from .hypercore import (
     write_hypergraph,
 )
 from .closedform import (
-    ChainReport,
     Rational,
     RationalPolynomial,
     Surd,

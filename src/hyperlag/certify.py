@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,10 +53,12 @@ from .constructions import (
 )
 from .hypercore import UniformHypergraph
 from .optimize import (
-    _LATTICE_CAP, OptimizerConfig, _ascend, _compositions, iter_lattice, maximize_lagrangian,
+    _LATTICE_CAP, OptimizerConfig, _ascend, _compositions, _require_grid, iter_lattice,
+    maximize_lagrangian,
 )
-# unused here, but bench/test_bench.py checks that the tracer wraps this imported name
-from .optimize import project_to_simplex  # noqa: F401
+# unused here: bench/test_bench.py checks that the tracer wraps project_to_simplex,
+# and the lattice size cap stays importable as certify.GRID_POINTS_MAX
+from .optimize import GRID_POINTS_MAX, project_to_simplex  # noqa: F401
 
 __all__ = [
     "CaseVerdict",
@@ -74,8 +75,11 @@ __all__ = [
 ]
 
 T1_CONSTANT = Fraction(2, 25)
-# the largest lattice a grid+refine search scores, a few seconds of work
-GRID_POINTS_MAX = 50_000_000
+# the best lattice points a grid+refine search refines
+_REFINE_STARTS = 100
+# the optimizer and tolerance of every part-size profile
+_PROFILE_CONFIG = OptimizerConfig(restarts=6, max_iters=300, seed=1)
+_PROFILE_TOL = 1e-7
 # the variable of the one-variable substitutions into the bound polynomials
 _X = RationalPolynomial((0, 1))
 _ZERO = Fraction(0)
@@ -158,15 +162,6 @@ def reduce_star(M: UniformHypergraph, part: Sequence[int]) -> UniformHypergraph:
 # Grid + refinement machinery
 # ---------------------------------------------------------------------------
 
-def _require_grid(resolution: int, dims: int) -> None:
-    if resolution < 1:
-        raise ValueError(f"grid_resolution must be >= 1, got {resolution}")
-    points = comb(resolution + dims - 1, dims - 1)
-    if points > GRID_POINTS_MAX:
-        raise ValueError(f"grid_resolution {resolution} gives {points:,} lattice points in "
-                         f"{dims} coordinates, more than the {GRID_POINTS_MAX:,} searched")
-
-
 def _require_profile_budget(s: int | None) -> None:
     if s is not None and s < 3:
         raise ValueError(f"profile budget must be >= 3, got {s}")
@@ -196,6 +191,8 @@ def _grid_refine_max(
     one column per coordinate, one point per row."""
     if top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
+    if refine_iters < 0:
+        raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
     # three coordinates stay whole: a one-coordinate head would score one
     # row per block, far slower than the 3-column lattice chunks
     split = 2 if dims >= 4 else 0
@@ -213,12 +210,6 @@ def _grid_refine_max(
             k = min(top, vals.size)
             floor = best_vals[-1] if best_vals.size == top else np.partition(vals, -k)[-k]
             idx = np.flatnonzero(vals >= floor)
-            if idx.size > top:
-                cut = vals[idx]
-                thr = np.partition(cut, -top)[-top]
-                keep = cut > thr
-                keep[np.flatnonzero(cut == thr)[:top - keep.sum()]] = True
-                idx = idx[keep]
             if not idx.size:
                 continue
             row, j = divmod(idx, width)
@@ -342,9 +333,9 @@ def _case_interior() -> CaseVerdict:
     return CaseVerdict("interior", T1_CONSTANT, float(T1_CONSTANT), "exact", ok, detail=detail)
 
 
-def _case_t1_global(resolution: int, refine_iters: int, tol: float, top: int) -> CaseVerdict:
+def _case_t1_global(resolution: int, refine_iters: int, tol: float) -> CaseVerdict:
     found, pt = _grid_refine_max(
-        theorem1_bound_poly, theorem1_bound_gradient, 4, resolution, refine_iters, top
+        theorem1_bound_poly, theorem1_bound_gradient, 4, resolution, refine_iters, _REFINE_STARTS
     )
     target = np.array([0.0, 0.4, 0.4, 0.2])
     close = float(np.abs(pt - target).max())
@@ -360,7 +351,6 @@ def certify_theorem1(
     grid_resolution: int = 200,
     refine_iters: int = 500,
     tol: float = 1e-9,
-    top: int = 100,
     profile_s: int | None = None,
 ) -> CertificateReport:
     """Certify that the bound polynomial never exceeds 2/25 on the simplex.
@@ -378,13 +368,13 @@ def certify_theorem1(
         _case_b0(),
         _case_d0(),
         _case_interior(),
-        _case_t1_global(grid_resolution, refine_iters, tol, top),
+        _case_t1_global(grid_resolution, refine_iters, tol),
     ]
     return _report("t1", None, cases, T1_CONSTANT, profile_s, {
         "grid_resolution": grid_resolution,
         "refine_iters": refine_iters,
         "tol": tol,
-        "top": top,
+        "top": _REFINE_STARTS,
         "profile_s": profile_s,
     })
 
@@ -446,10 +436,10 @@ def _case_t3_early(k: int) -> CaseVerdict:
 
 
 def _case_t3_chain(k: int) -> CaseVerdict:
-    chain = theorem3_bound_chain(k)
-    detail = "all chain steps hold" if chain.ok else f"failing steps: {chain.failing()}"
+    failing = [step for step, holds in theorem3_bound_chain(k).items() if not holds]
+    detail = f"failing steps: {failing}" if failing else "all chain steps hold"
     return CaseVerdict(
-        "monotone-chain", alpha_k(k) / 6, float(alpha_k(k)) / 6, "exact", chain.ok,
+        "monotone-chain", alpha_k(k) / 6, float(alpha_k(k)) / 6, "exact", not failing,
         detail=detail,
     )
 
@@ -459,7 +449,6 @@ def certify_theorem3(
     grid_resolution: int = 200,
     tol: float = 1e-8,
     refine_iters: int = 500,
-    top: int = 100,
     profile_s: int | None = None,
 ) -> CertificateReport:
     """Certify that the (2k+1)-part bound function stays at or below alpha_k/6."""
@@ -471,7 +460,7 @@ def certify_theorem3(
     found, pt = _grid_refine_max(
         lambda w, a, b: theorem3_bound(w, a, k),
         lambda w, a, b: (*theorem3_bound_gradient(w, a, k), 0.0),
-        3, grid_resolution, refine_iters, top,
+        3, grid_resolution, refine_iters, _REFINE_STARTS,
     )
     global_ok = found <= float(target) + tol
     global_case = CaseVerdict(
@@ -486,7 +475,7 @@ def certify_theorem3(
         "grid_resolution": grid_resolution,
         "refine_iters": refine_iters,
         "tol": tol,
-        "top": top,
+        "top": _REFINE_STARTS,
         "profile_s": profile_s,
     })
 
@@ -557,7 +546,7 @@ def check_blowup_density_gain(
     # identity: margin == (adder_edges - deficit_achieved) / t^3
     if (margin * (t**3) - (adder.m - deficit_achieved)) != 0:
         raise ArithmeticError("density-gain accounting identity failed")
-    passed = (margin.sign() > 0) if isinstance(margin, Surd) else (margin > 0)
+    passed = margin > 0
     return DensityGainReport(
         kind=kind,
         k=k,
@@ -641,8 +630,6 @@ def enumerate_profiles_and_bound(
     kind: str,
     s: int,
     k: int | None = None,
-    cfg: OptimizerConfig | None = None,
-    tol: float = 1e-7,
 ) -> ProfilesReport:
     """Optimize the reduced pattern subgraph of every part-size profile with
     total size at most s and compare against the certified constant.
@@ -652,7 +639,6 @@ def enumerate_profiles_and_bound(
     analytic case analysis; feasible at desk scale for s up to about 9.
     """
     _require_profile_budget(s)
-    cfg = cfg or OptimizerConfig(restarts=6, max_iters=300, seed=1)
     pattern, part, constant = family(kind, k)
     constant = float(constant)
     profiles = _profiles(pattern, part, s)
@@ -660,17 +646,17 @@ def enumerate_profiles_and_bound(
     worst_value, worst_profile = -1.0, None
     violations = []
     for profile in profiles:
-        value = maximize_lagrangian(_profile_graph(pattern, part, profile), cfg).value
+        value = maximize_lagrangian(_profile_graph(pattern, part, profile), _PROFILE_CONFIG).value
         if value > worst_value:
             worst_value, worst_profile = value, profile
-        if value > constant + tol:
+        if value > constant + _PROFILE_TOL:
             violations.append((profile, value))
     return ProfilesReport(
         kind=kind,
         k=k,
         s=s,
         constant=constant,
-        tol=tol,
+        tol=_PROFILE_TOL,
         profiles_checked=len(profiles),
         worst_value=worst_value,
         worst_profile=worst_profile,

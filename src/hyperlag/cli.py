@@ -3,7 +3,9 @@
 JSON results go to stdout, human-readable progress to stderr, so pipelines
 can consume the output while a terminal user still sees what happened.
 Exit codes: 0 success / certification pass, 1 usage or input error,
-2 certification failure, 3 adder generation failure.
+2 certification failure, 3 adder generation failure.  ``main`` maps the
+input, file and generator errors of every subcommand to these codes, with
+one stderr line each.
 """
 
 from __future__ import annotations
@@ -44,19 +46,8 @@ def _optimizer_config(args) -> optimize.OptimizerConfig:
 
 
 def cmd_lagrangian(args) -> int:
-    try:
-        G = hypercore.read_hypergraph(args.path)
-    except hypercore.HypergraphFormatError as exc:
-        _say(f"parse error in {args.path}: {exc}")
-        return EXIT_INPUT
-    except OSError as exc:
-        _say(f"cannot read {args.path}: {exc}")
-        return EXIT_INPUT
-    try:
-        result = optimize.maximize_lagrangian(G, _optimizer_config(args))
-    except ValueError as exc:
-        _say(f"invalid parameters: {exc}")
-        return EXIT_INPUT
+    G = hypercore.read_hypergraph(args.path)
+    result = optimize.maximize_lagrangian(G, _optimizer_config(args))
     payload = closedform.to_json(result)
     payload["config"] = {
         "seed": args.seed, "restarts": args.restarts, "iters": args.iters, "tol": args.tol,
@@ -76,38 +67,30 @@ def cmd_construct(args) -> int:
     kind = args.family
     missing = [f"--{name}" for name in _CONSTRUCT_NEEDS[kind] if getattr(args, name) is None]
     if missing:
-        _say(f"construct {kind} needs {' and '.join(missing)}")
-        return EXIT_INPUT
-    try:
-        if kind == "b2k":
-            G = constructions.build_b2k(args.k, args.n)
-            parts = [(1, 2 * args.k), (2 * args.k + 1, args.n)]
-            meta = constructions.construction_metadata("b2k", k=args.k, t=args.n, parts=parts)
-        elif kind == "theorem1":
-            G = constructions.build_theorem1_base(args.t)
-            meta = constructions.construction_metadata(
-                "theorem1", t=args.t, parts=constructions.theorem1_parts(args.t))
-        elif kind == "theorem3":
-            pattern = constructions.build_theorem3_pattern(args.k)
-            G = constructions.instantiate_pattern(pattern, args.t)
-            meta = constructions.construction_metadata(
-                "theorem3", k=args.k, t=args.t,
-                parts=constructions.pattern_parts(pattern, args.t))
-        elif kind == "sparse":
-            params = constructions.SparseAdderParams(s=args.s, c=args.c, t=args.t, seed=args.seed)
-            G = constructions.generate_sparse_adder(params)
-            meta = constructions.construction_metadata(
-                "sparse", t=args.t, s=args.s, c=args.c, seed=args.seed, parts=[(1, args.t)])
-        elif kind == "gstar":
-            G, meta = _build_gstar(args)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown family {kind}")
-    except constructions.AdderGenerationError as exc:
-        _say(f"generator failure: {exc}")
-        return EXIT_GENERATOR
-    except ValueError as exc:
-        _say(f"invalid parameters: {exc}")
-        return EXIT_INPUT
+        raise ValueError(f"construct {kind} needs {' and '.join(missing)}")
+    if kind == "b2k":
+        G = constructions.build_b2k(args.k, args.n)
+        parts = [(1, 2 * args.k), (2 * args.k + 1, args.n)]
+        meta = constructions.construction_metadata("b2k", k=args.k, t=args.n, parts=parts)
+    elif kind == "theorem1":
+        G = constructions.build_theorem1_base(args.t)
+        meta = constructions.construction_metadata(
+            "theorem1", t=args.t, parts=constructions.theorem1_parts(args.t))
+    elif kind == "theorem3":
+        pattern = constructions.build_theorem3_pattern(args.k)
+        G = constructions.instantiate_pattern(pattern, args.t)
+        meta = constructions.construction_metadata(
+            "theorem3", k=args.k, t=args.t,
+            parts=constructions.pattern_parts(pattern, args.t))
+    elif kind == "sparse":
+        params = constructions.SparseAdderParams(s=args.s, c=args.c, t=args.t, seed=args.seed)
+        G = constructions.generate_sparse_adder(params)
+        meta = constructions.construction_metadata(
+            "sparse", t=args.t, s=args.s, c=args.c, seed=args.seed, parts=[(1, args.t)])
+    elif kind == "gstar":
+        G, meta = _build_gstar(args)
+    else:  # pragma: no cover - argparse restricts choices
+        raise ValueError(f"unknown family {kind}")
 
     hypercore.write_hypergraph(G, args.out)
     sidecar = args.out + ".json"
@@ -150,19 +133,14 @@ def cmd_alpha(args) -> int:
 
 def cmd_certify(args) -> int:
     if args.theorem == "t3" and args.k is None:
-        _say("certify t3 needs --k")
-        return EXIT_INPUT
+        raise ValueError("certify t3 needs --k")
     # options left out keep the library's defaults
     given = {"grid_resolution": args.grid, "refine_iters": args.refine_iters, "tol": args.tol}
     options = {name: value for name, value in given.items() if value is not None}
-    try:
-        if args.theorem == "t1":
-            report = certify.certify_theorem1(profile_s=args.profiles, **options)
-        else:
-            report = certify.certify_theorem3(args.k, profile_s=args.profiles, **options)
-    except ValueError as exc:
-        _say(f"invalid parameters: {exc}")
-        return EXIT_INPUT
+    if args.theorem == "t1":
+        report = certify.certify_theorem1(profile_s=args.profiles, **options)
+    else:
+        report = certify.certify_theorem3(args.k, profile_s=args.profiles, **options)
     _emit(closedform.to_json(report), args.out)
     for case in report.cases:
         _say(f"[{'PASS' if case.passed else 'FAIL'}] {case.case_name}: "
@@ -172,15 +150,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_density_gain(args) -> int:
-    try:
-        report = certify.check_blowup_density_gain(
-            args.kind, args.t, s=args.s, c=args.c, seed=args.seed, k=args.k)
-    except constructions.AdderGenerationError as exc:
-        _say(f"generator failure: {exc}")
-        return EXIT_GENERATOR
-    except ValueError as exc:
-        _say(f"invalid parameters: {exc}")
-        return EXIT_INPUT
+    report = certify.check_blowup_density_gain(
+        args.kind, args.t, s=args.s, c=args.c, seed=args.seed, k=args.k)
     _emit(closedform.to_json(report), args.out)
     _say(f"bound {float(report.bound):.9f} vs target {float(report.target):.9f} "
          f"-> {'PASS' if report.passed else 'FAIL'}")
@@ -252,7 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except hypercore.HypergraphFormatError as exc:  # a ValueError, so caught first
+        _say(f"parse error in {args.path}: {exc}")
+    except ValueError as exc:
+        _say(f"invalid parameters: {exc}")
+    except OSError as exc:
+        _say(f"file error: {exc}")
+    except constructions.AdderGenerationError as exc:
+        _say(f"generator failure: {exc}")
+        return EXIT_GENERATOR
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -57,8 +57,6 @@ __all__ = [
     "theorem3_g_poly",
     "theorem3_c0",
     "theorem3_bound_chain",
-    "ChainStep",
-    "ChainReport",
     "exact_to_json",
     "to_json",
 ]
@@ -659,76 +657,37 @@ def theorem3_c0(k: int) -> Surd:
     return rat + irr * Surd.sqrt(4 * k - 1)
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    name: str
-    ok: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    k: int
-    steps: tuple[ChainStep, ...]
-    ok: bool
-
-    def failing(self) -> list[str]:
-        return [s.name for s in self.steps if not s.ok]
-
-
-def theorem3_bound_chain(k: int) -> ChainReport:
-    """Verify the monotone chain that pins the alpha_k/6 bound, exactly.
+def theorem3_bound_chain(k: int) -> dict[str, bool]:
+    """Verify the monotone chain that pins the alpha_k/6 bound, exactly;
+    returns whether each step holds, by step name in this order.
 
     Steps:
-      (i)   the a-partial of ``theorem3_bound`` (from ``theorem3_bound_gradient``)
-            vanishes identically at a = (2 - 4w)/3, and ``theorem3_bound`` there
-            is the envelope g = T + the stated apex cubic;
-      (ii)  the cubic envelope equals exactly 1/16 at w = 1/2, matching
-            w (1 - w)^2 / 2 there;
-      (iii) g' stays positive on [0, 1/2]: it is a concave quadratic with
-            positive values at both endpoints;
-      (iv)  g(1/2) equals f_b2k(1/2, k) exactly and sits strictly below
-            alpha_k / 6 (surd comparison).
+      inner-maximizer: the a-partial of ``theorem3_bound`` (from
+            ``theorem3_bound_gradient``) vanishes identically at
+            a = (2 - 4w)/3, and ``theorem3_bound`` there is the envelope
+            g = T + the stated apex cubic;
+      endpoint-1/16: the cubic envelope equals exactly 1/16 at w = 1/2,
+            matching w (1 - w)^2 / 2 there;
+      gprime-positive: g' stays positive on [0, 1/2]: it is a concave
+            quadratic with positive values at both endpoints;
+      half-point-bound: g(1/2) equals f_b2k(1/2, k) exactly and sits
+            strictly below alpha_k / 6 (surd comparison).
     """
     if k < 2:
         raise ValueError(f"chain requires k >= 2, got {k}")
-    steps: list[ChainStep] = []
-
-    # (i) inner maximizer and envelope, by substitution into the bound
     w = _X
     a_inner = (2 - 4 * w) / 3
     g = theorem3_g_poly(k)
-    ok_i = not theorem3_bound_gradient(w, a_inner, k)[1] and theorem3_bound(w, a_inner, k) == g
-    steps.append(ChainStep(
-        "inner-maximizer",
-        ok_i,
-        "derivative vanishes at a=(2-4w)/3 and substitution matches the cubic envelope",
-    ))
-
-    # (ii) the envelope at w = 1/2
     half = Fraction(1, 2)
-    cubic_half = theorem3_cubic_part_poly()(half)
-    tail_half = half * (1 - half) ** 2 / 2
-    ok_ii = cubic_half == Fraction(1, 16) == tail_half
-    steps.append(ChainStep("endpoint-1/16", ok_ii, f"cubic(1/2) = {cubic_half}"))
-
-    # (iii) g' > 0 on [0, 1/2]: a concave quadratic lies above its chord
     gp = g.derivative()
-    ok_iii = gp.degree == 2 and gp.coeffs[2] < 0 and gp(Fraction(0)) > 0 and gp(half) > 0
-    steps.append(ChainStep(
-        "gprime-positive",
-        ok_iii,
-        f"concave with g'(0) = {gp(Fraction(0))}, g'(1/2) = {gp(half)}",
-    ))
-
-    # (iv) the chain terminus at w = 1/2
     g_half = g(half)
-    target = alpha_k(k) / 6
-    ok_iv = g_half == f_b2k(half, k) and (target - g_half).sign() > 0
-    steps.append(ChainStep(
-        "half-point-bound",
-        ok_iv,
-        f"g(1/2) = {g_half} = f_b2k(1/2) <= alpha_k/6 (strict)",
-    ))
-
-    return ChainReport(k=k, steps=tuple(steps), ok=all(s.ok for s in steps))
+    return {
+        "inner-maximizer": (not theorem3_bound_gradient(w, a_inner, k)[1]
+                            and theorem3_bound(w, a_inner, k) == g),
+        "endpoint-1/16": (theorem3_cubic_part_poly()(half) == Fraction(1, 16)
+                          == half * (1 - half) ** 2 / 2),
+        # a concave quadratic lies above its chord
+        "gprime-positive": (gp.degree == 2 and gp.coeffs[2] < 0
+                            and gp(Fraction(0)) > 0 and gp(half) > 0),
+        "half-point-bound": g_half == f_b2k(half, k) and alpha_k(k) / 6 > g_half,
+    }

@@ -73,7 +73,7 @@ class PartitionPattern:
         if not weights:
             raise ValueError("pattern needs at least one part")
         for w in weights:
-            if (w.sign() if isinstance(w, Surd) else (w > 0) - (w < 0)) < 0:
+            if w < 0:
                 raise ValueError(f"negative part weight {w}")
         total = reduce(lambda acc, w: acc + w, weights)
         if total != 1:
@@ -108,7 +108,6 @@ class SparseAdderParams:
     t: int
     r: int = 3
     seed: int = 0
-    max_attempts: int | None = None
 
     def __post_init__(self):
         if self.r < 2:
@@ -123,11 +122,6 @@ class SparseAdderParams:
     def target_edges(self) -> int:
         c = self.c if isinstance(self.c, Fraction) else Fraction(self.c).limit_denominator(10**6)
         return math.ceil(c * self.t ** (self.r - 1))
-
-    def attempt_budget(self) -> int:
-        if self.max_attempts is not None:
-            return self.max_attempts
-        return 200 * self.target_edges() + 10_000
 
 
 @dataclass(frozen=True)
@@ -358,13 +352,13 @@ def generate_sparse_adder(params: SparseAdderParams) -> UniformHypergraph:
     """Seeded add-and-repair: draw a random edge, keep it if no subset of size
     at most s becomes too dense, otherwise drop it; stop at the target count.
 
-    Deterministic given the seed.  Raises AdderGenerationError when the
-    attempt budget runs out; dense targets at small t may simply not exist,
+    Deterministic given the seed.  Raises AdderGenerationError after
+    200 * target + 10,000 attempts; dense targets at small t may simply not exist,
     in which case a larger t (or smaller c) is the fix.
     """
     rng = random.Random(params.seed)
     target = params.target_edges()
-    budget = params.attempt_budget()
+    budget = 200 * target + 10_000
     vertices = range(1, params.t + 1)
     edge_set: set[tuple[int, ...]] = set()
     attempts = 0

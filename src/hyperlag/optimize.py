@@ -53,6 +53,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
@@ -309,6 +311,19 @@ def quotient(G: UniformHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 # ---------------------------------------------------------------------------
 
 _LATTICE_CAP = 2**14
+# the largest lattice a search scores, a few seconds of work
+GRID_POINTS_MAX = 50_000_000
+
+
+def _require_grid(resolution: int, dims: int) -> None:
+    """Refuse a resolution below 1 or a lattice of more than GRID_POINTS_MAX
+    points, before any of it is built."""
+    if resolution < 1:
+        raise ValueError(f"grid_resolution must be >= 1, got {resolution}")
+    points = comb(resolution + dims - 1, resolution)
+    if points > GRID_POINTS_MAX:
+        raise ValueError(f"grid_resolution {resolution} gives {points:,} lattice points in "
+                         f"{dims} coordinates, more than the {GRID_POINTS_MAX:,} searched")
 
 
 def _complete(cols: list, rest: np.ndarray, k: int) -> np.ndarray:
@@ -359,7 +374,7 @@ def iter_lattice(n: int, total: int, cap: int = _LATTICE_CAP):
         yield from _lattice_runs([], n, total, cap)
 
 
-def grid_oracle(G: UniformHypergraph, resolution: int, allow_large: bool = False) -> Fraction:
+def grid_oracle(G: UniformHypergraph, resolution: int) -> Fraction:
     """Exact maximum of the Lagrangian over lattice points (a_1/N, ..., a_n/N).
 
     Scores are integer sums of products of lattice counts, so the result is
@@ -367,17 +382,10 @@ def grid_oracle(G: UniformHypergraph, resolution: int, allow_large: bool = False
     (N)_r = N(N-1)...(N-r+1): for K ~ Multinomial(N, x) and distinct i_1..i_r,
     E[K_i1 ... K_ir] = (N)_r x_i1 ... x_ir, so some lattice point K/N scores
     at least (N)_r / N^r * lambda (the grid argument of Bomze and de Klerk).
-    Guarded to n <= 8 because the lattice grows combinatorially; pass
-    ``allow_large=True`` to override.
+    A lattice of more than GRID_POINTS_MAX points is refused before scoring.
     """
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
-    if G.n > 8 and not allow_large:
-        raise ValueError(
-            f"grid oracle on {G.n} > 8 vertices is combinatorially large; "
-            "pass allow_large=True to force it"
-        )
-    if G.m == 0 or G.n == 0:
+    _require_grid(resolution, G.n)
+    if G.m == 0:
         return Fraction(0)
     if G.m * resolution**G.r >= 2**62:
         raise ValueError("resolution too large for exact int64 scoring")

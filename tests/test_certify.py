@@ -103,7 +103,7 @@ def test_reduce_star_never_decreases_optimum_under_sparsity_cap():
 # ---------------------------------------------------------------------------
 
 def test_certify_theorem1_quick():
-    rep = certify_theorem1(grid_resolution=60, refine_iters=200, tol=1e-9, top=40)
+    rep = certify_theorem1(grid_resolution=60, refine_iters=200, tol=1e-9)
     assert rep.overall
     names = [c.case_name for c in rep.cases]
     assert names == ["c=0", "a=0", "b=0", "d=0", "interior", "global"]
@@ -129,7 +129,7 @@ def test_report_json_renames_and_encodes_fields():
 
 
 def test_certify_theorem1_coarse_grid_fails():
-    rep = certify_theorem1(grid_resolution=2, refine_iters=0, tol=1e-9, top=5)
+    rep = certify_theorem1(grid_resolution=2, refine_iters=0, tol=1e-9)
     by_name = {c.case_name: c for c in rep.cases}
     assert not by_name["global"].passed
     assert not rep.overall
@@ -141,7 +141,7 @@ def test_certify_theorem1_fails_on_a_perturbed_bound_polynomial(monkeypatch):
         return theorem1_bound_poly(a, b, c, d) - a * a * b / 20
 
     monkeypatch.setattr(certify, "theorem1_bound_poly", perturbed)
-    rep = certify_theorem1(grid_resolution=20, refine_iters=20, top=5)
+    rep = certify_theorem1(grid_resolution=20, refine_iters=20)
     by_name = {c.case_name: c for c in rep.cases}
     assert not by_name["c=0"].passed and not by_name["d=0"].passed
     assert not rep.overall
@@ -155,7 +155,7 @@ def test_certify_theorem1_interior_reads_the_bound_polynomial(monkeypatch):
         return theorem1_bound_poly(a, b, c, d) - a * c * d / 2
 
     monkeypatch.setattr(certify, "theorem1_bound_poly", perturbed)
-    rep = certify_theorem1(grid_resolution=20, refine_iters=20, top=5)
+    rep = certify_theorem1(grid_resolution=20, refine_iters=20)
     assert [c.case_name for c in rep.cases if not c.passed] == ["b=0", "interior"]
     assert not rep.overall
 
@@ -166,7 +166,7 @@ def test_certify_theorem1_b0_reads_the_bound_polynomial(monkeypatch):
         return theorem1_bound_poly(a, b, c, d) - b * b * c / 10
 
     monkeypatch.setattr(certify, "theorem1_bound_poly", perturbed)
-    rep = certify_theorem1(grid_resolution=20, refine_iters=20, top=5)
+    rep = certify_theorem1(grid_resolution=20, refine_iters=20)
     by_name = {c.case_name: c for c in rep.cases}
     assert not by_name["b=0"].passed
     assert not rep.overall
@@ -177,7 +177,7 @@ def test_certify_theorem1_b0_reads_the_bound_polynomial(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_certify_theorem3_k2_quick():
-    rep = certify_theorem3(2, grid_resolution=80, tol=1e-8, refine_iters=200, top=40)
+    rep = certify_theorem3(2, grid_resolution=80, tol=1e-8, refine_iters=200)
     assert rep.overall
     by_name = {c.case_name: c for c in rep.cases}
     target = float(alpha_k(2)) / 6
@@ -193,7 +193,7 @@ def test_certify_theorem3_fails_on_a_perturbed_bound(monkeypatch):
 
     monkeypatch.setattr(certify, "theorem3_bound", perturbed)
     monkeypatch.setattr(closedform, "theorem3_bound", perturbed)
-    rep = certify_theorem3(2, grid_resolution=20, refine_iters=20, top=5)
+    rep = certify_theorem3(2, grid_resolution=20, refine_iters=20)
     by_name = {c.case_name: c for c in rep.cases}
     assert not by_name["early-collapse"].passed and not by_name["monotone-chain"].passed
     assert not rep.overall
@@ -392,10 +392,6 @@ def test_profiles_t1():
     rep = enumerate_profiles_and_bound("t1", 5)
     assert rep.passed and rep.profiles_checked == 55
     assert rep.worst_value <= 2 / 25 + 1e-7
-    # the pure-part profile peaks at the star value 1/27
-    star_only = enumerate_profiles_and_bound(
-        "t1", 5, cfg=OptimizerConfig(restarts=4, max_iters=300, seed=2))
-    assert star_only.worst_value <= 2 / 25 + 1e-7
 
 
 def test_profiles_t1_star_value():
@@ -407,8 +403,7 @@ def test_profiles_t1_star_value():
 
 
 def test_profiles_t3_k2():
-    rep = enumerate_profiles_and_bound("t3", 5, k=2,
-                                       cfg=OptimizerConfig(restarts=4, max_iters=250, seed=2))
+    rep = enumerate_profiles_and_bound("t3", 5, k=2)
     assert rep.passed
     assert rep.worst_value <= float(alpha_k(2)) / 6 + 1e-7
 
@@ -473,5 +468,8 @@ def test_grid_search_matches_dense_reference(dims):
 
 
 def test_grid_search_needs_a_candidate():
+    from hyperlag.certify import _grid_refine_max
+    from hyperlag.closedform import theorem1_bound_gradient
+
     with pytest.raises(ValueError, match="top"):
-        certify_theorem1(grid_resolution=4, top=0)
+        _grid_refine_max(theorem1_bound_poly, theorem1_bound_gradient, 4, 4, 0, 0)

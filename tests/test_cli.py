@@ -109,6 +109,10 @@ def test_certify_t3_requires_k(capsys):
     assert code == 1 and "--k" in err
 
 
+# an --out path in a directory that does not exist
+MISSING = "missing/out.txt"
+
+
 @pytest.mark.parametrize("argv, problem", [
     (("construct", "theorem1"), "--t"),
     (("construct", "theorem3", "--k", "2"), "--t"),
@@ -123,17 +127,34 @@ def test_certify_t3_requires_k(capsys):
     (("lagrangian", "empty.txt"), "at least one vertex"),
     (("lagrangian", "edge.txt", "--restarts", "0"), "restarts must be >= 1"),
     (("lagrangian", "edge.txt", "--tol", "0"), "tolerance must be positive"),
+    (("lagrangian", "edge.txt", "--iters", "-1"), "max_iters must be >= 0"),
+    (("certify", "t1", "--grid", "4", "--refine-iters", "-1"), "refine_iters must be >= 0"),
+    (("alpha", "--k", "0"), "k must be >= 1"),
+    (("lagrangian", "edge.txt", "--out", MISSING), "No such file"),
+    (("construct", "b2k", "--k", "1", "--n", "6", "--out", MISSING), "No such file"),
+    (("alpha", "--k", "2", "--out", MISSING), "No such file"),
+    (("certify", "t1", "--grid", "4", "--refine-iters", "0", "--out", MISSING), "No such file"),
 ])
 def test_input_errors_exit_1(capsys, tmp_path, argv, problem):
-    if argv[0] == "construct":
-        argv += ("--out", str(tmp_path / "g.txt"))
+    argv = [str(tmp_path / a) if a == MISSING else a for a in argv]
+    if argv[0] == "construct" and "--out" not in argv:
+        argv += ["--out", str(tmp_path / "g.txt")]
     if argv[0] == "lagrangian":
         (tmp_path / "empty.txt").write_text("3 0 0\n")
         (tmp_path / "edge.txt").write_text("3 3 1\n1 2 3\n")
-        argv = (argv[0], str(tmp_path / argv[1]), *argv[2:])
+        argv[1] = str(tmp_path / argv[1])
     code, stdout, err = run(capsys, *argv)
     assert code == 1 and problem in err and stdout == ""
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "g.txt").exists()
+
+
+def test_adder_failure_exits_3(capsys, tmp_path):
+    out = tmp_path / "a.txt"
+    code, stdout, err = run(capsys, "construct", "sparse", "--s", "4", "--c", "10",
+                            "--t", "4", "--seed", "1", "--out", str(out))
+    assert code == 3 and "larger t" in err and stdout == ""
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 def test_density_gain_t1(capsys):

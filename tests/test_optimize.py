@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -68,6 +69,9 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        OptimizerConfig(max_iters=-1)
+    assert OptimizerConfig(max_iters=0).max_iters == 0
 
 
 def test_projection_properties():
@@ -143,10 +147,14 @@ def test_oracle_known_values():
 
 
 def test_oracle_guard():
+    # nine vertices are fine; the lattice size alone decides
     big = UniformHypergraph(3, 9, [(1, 2, 3)])
-    with pytest.raises(ValueError):
-        grid_oracle(big, 5)
-    assert grid_oracle(big, 5, allow_large=True) > 0
+    assert grid_oracle(big, 5) == F(4, 125)
+    # C(107, 7), about 2.6e10 points: refused before any scoring
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="lattice points"):
+        grid_oracle(complete3(8), 100)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_oracle_vs_optimizer_on_random_graphs():

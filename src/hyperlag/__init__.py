@@ -11,7 +11,6 @@ from .hypercore import (
     HypergraphFormatError,
     UniformHypergraph,
     WeightVector,
-    density,
     lagrangian_value,
     link_difference,
     read_hypergraph,
@@ -24,8 +23,6 @@ from .closedform import (
     alpha_k,
     astar_weight,
     f_b2k,
-    f_b2k_prime,
-    is_non_square_4k_minus_1,
     theorem1_bound_poly,
     theorem3_bound,
     theorem3_bound_chain,

@@ -25,14 +25,10 @@ from .closedform import (
     Surd,
     alpha_k,
     astar_weight,
-    f_b2k,
     f_b2k_poly,
-    f_b2k_prime,
     theorem1_bound_gradient,
     theorem1_bound_poly,
-    theorem1_d0_critical_point,
     theorem1_d0_cubic_poly,
-    theorem1_d0_peak_value,
     theorem3_bound,
     theorem3_bound_chain,
     theorem3_bound_gradient,
@@ -233,18 +229,8 @@ def _grid_refine_max(
 
 def _case_c0() -> CaseVerdict:
     # the objective collapses to a^2 b / 4; exact 1-d maximization on the edge
-    cubic = theorem1_bound_poly(_X, 1 - _X, _ZERO, _ZERO)
-    crit = Fraction(2, 3)
-    peak = cubic(crit)
-    ok = (
-        cubic.derivative()(crit) == 0
-        and peak == Fraction(1, 27)
-        and cubic(_ZERO) == 0
-        and cubic(Fraction(1)) == 0
-        and peak < T1_CONSTANT
-        # the cube-mean majorant is tight at the maximizer
-        and Fraction(1, 8) * ((2 * crit + 2 * (1 - crit)) / 3) ** 3 == Fraction(1, 27)
-    )
+    crit, peak = theorem1_bound_poly(_X, 1 - _X, _ZERO, _ZERO).peak(0, 1)
+    ok = (crit, peak) == (Fraction(2, 3), Fraction(1, 27)) and peak < T1_CONSTANT
     return CaseVerdict(
         "c=0", Fraction(1, 27), float(peak), "exact", ok,
         witness=(2 / 3, 1 / 3, 0.0, 0.0),
@@ -252,21 +238,28 @@ def _case_c0() -> CaseVerdict:
     )
 
 
+def _moving(point, coords) -> list[int]:
+    """The coordinates i in ``coords`` along whose direction e_i - e_d the
+    bound polynomial has a nonzero derivative at ``point``; none means the
+    point is stationary on the face those coordinates span with d."""
+    return [i for i in coords
+            if theorem1_bound_poly(*(x + ((j == i) - (j == 3)) * _X
+                                     for j, x in enumerate(point))).derivative()(_ZERO)]
+
+
 def _case_a0() -> CaseVerdict:
-    # stationarity at b = c = 2d = 2/5, exactly: the b, c, d partials agree
+    # stationarity at b = c = 2d = 2/5, exactly, within the a=0 face
     point = (_ZERO, Fraction(2, 5), Fraction(2, 5), Fraction(1, 5))
     val = theorem1_bound_poly(*point)
-    _, pb, pc, pd = theorem1_bound_gradient(*point)
     # the boundary edges b = 0 and d = 0 of this face peak at 2/27
-    crit = Fraction(2, 3)
     edges = (
         theorem1_bound_poly(_ZERO, _ZERO, _X, 1 - _X),
         theorem1_bound_poly(_ZERO, _X, 1 - _X, _ZERO),
     )
     ok = (
-        pb == pc == pd
+        not _moving(point, (1, 2))
         and val == T1_CONSTANT
-        and all(edge.derivative()(crit) == 0 and edge(crit) == Fraction(2, 27) for edge in edges)
+        and all(edge.peak(0, 1) == (Fraction(2, 3), Fraction(2, 27)) for edge in edges)
         and Fraction(2, 27) < T1_CONSTANT
     )
     return CaseVerdict(
@@ -291,22 +284,13 @@ def _case_b0() -> CaseVerdict:
 
 
 def _case_d0() -> CaseVerdict:
-    # eliminate a = 2 - 4b, c = 3b - 1 and certify the cubic on [1/3, 1/2]
+    # eliminate a = 2 - 4b, c = 3b - 1 and maximize the cubic on [1/3, 1/2]
     substituted = theorem1_bound_poly(2 - 4 * _X, _X, 3 * _X - 1, _ZERO)
-    cubic = theorem1_d0_cubic_poly()
-    bstar = theorem1_d0_critical_point()
-    peak = theorem1_d0_peak_value()
-    deriv = cubic.derivative()
+    bstar, peak = substituted.peak(Fraction(1, 3), Fraction(1, 2))
     ok = (
-        substituted == cubic
-        and deriv(bstar) == Surd(Fraction(0))
-        and (bstar - Fraction(1, 3)).sign() > 0
-        and (Fraction(1, 2) - bstar).sign() > 0
-        and deriv(Fraction(1, 3)) > 0
-        and deriv(Fraction(1, 2)) < 0
-        and cubic(Fraction(1, 3)) == Fraction(1, 27)
-        and cubic(Fraction(1, 2)) == Fraction(1, 16)
-        and (Fraction(19, 250) - peak).sign() > 0  # peak < 0.076
+        substituted == theorem1_d0_cubic_poly()
+        and bstar == (7 - Surd.sqrt(5)) / 11
+        and peak < Fraction(19, 250)  # peak < 0.076
         and Fraction(19, 250) < T1_CONSTANT
     )
     return CaseVerdict(
@@ -321,9 +305,7 @@ def _case_interior() -> CaseVerdict:
     # the resultant is stated by hand; each root point it walks must also be
     # stationary for the bound polynomial: zero derivative along e_i - e_d
     try:
-        moving = [p[1] for p in verify_theorem1_quartic_identity() for i in range(3)
-                  if theorem1_bound_poly(*(x + ((j == i) - (j == 3)) * _X
-                                           for j, x in enumerate(p))).derivative()(_ZERO)]
+        moving = [p[1] for p in verify_theorem1_quartic_identity() if _moving(p, range(3))]
         ok, detail = not moving, (
             f"the root b={moving[0]} is not stationary for the bound polynomial" if moving
             else "stationarity quartic (stated by hand) factors as 9b(5b-2)(9b-4)(3b-2); "
@@ -413,21 +395,14 @@ def _case_t3_early(k: int) -> CaseVerdict:
     which is T(w) + w (a + b)^2 / 2 since a + b = 1 - w.  Both sides have
     degree at most 3 in a, so the identity in w at four values of a proves
     it; when b <= w the correction term is nonnegative, so the bound is at
-    most f_b2k(w).  The exact peak of f_b2k is alpha_k/6 at a*, pinned by
-    surd arithmetic and the sign of the derivative at the interval ends.
+    most f_b2k(w).  The exact peak of f_b2k on [0, 1] is alpha_k/6 at a*.
     """
     f = f_b2k_poly(k)
-    astar = astar_weight(k)
     target = alpha_k(k)
     ok = (
         all(theorem3_bound(_X, a, k) + (a * a / 4) * (_X - (1 - _X - a)) == f
             for a in (Fraction(i, 3) for i in range(4)))
-        and f_b2k_prime(_ZERO, k) == Fraction(1, 2)
-        and f_b2k_prime(Fraction(1), k) < 0
-        and f_b2k_prime(astar, k) == Surd(_ZERO)
-        and 6 * f_b2k(astar, k) == target
-        and astar.sign() > 0
-        and (1 - astar).sign() > 0
+        and f.peak(0, 1) == (astar_weight(k), target / 6)
     )
     return CaseVerdict(
         "early-collapse", target / 6, float(target) / 6, "exact", ok,

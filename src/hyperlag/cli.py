@@ -120,7 +120,7 @@ def cmd_alpha(args) -> int:
     value = closedform.alpha_k(args.k)
     payload = closedform.exact_to_json(value)
     payload["alpha_over_6"] = float(value) / 6
-    payload["irrational"] = closedform.is_non_square_4k_minus_1(args.k)
+    payload["irrational"] = value.q != 0
     if args.check_optimize:
         a_hat, peak = closedform.f_b2k_numeric_max(args.k)
         payload["optimize_gap"] = abs(float(value) / 6 - peak)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, isqrt
+from math import comb
 from typing import Union
 
 import numpy as np
@@ -40,16 +40,12 @@ __all__ = [
     "alpha_k",
     "astar_weight",
     "f_b2k",
-    "f_b2k_prime",
     "f_b2k_poly",
     "f_b2k_numeric_max",
-    "is_non_square_4k_minus_1",
     "theorem1_bound_poly",
     "theorem1_bound_gradient",
     "theorem3_bound_gradient",
     "theorem1_d0_cubic_poly",
-    "theorem1_d0_critical_point",
-    "theorem1_d0_peak_value",
     "verify_theorem1_quartic_identity",
     "theorem3_bound",
     "theorem3_t_poly",
@@ -394,6 +390,31 @@ class RationalPolynomial:
     def derivative(self) -> "RationalPolynomial":
         return RationalPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
+    def peak(self, lo, hi) -> tuple:
+        """The maximum on [lo, hi] as (argmax, value), exactly, for degree at
+        most 3.  The candidates are lo, hi and every real root of the
+        derivative strictly between them, each evaluated once; of tied
+        candidates the leftmost wins.  A root is a Fraction when the
+        discriminant is a rational square and a Surd otherwise."""
+        if self.degree > 3:
+            raise ValueError(f"peak needs degree <= 3, got {self.degree}")
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        deriv = self.derivative().coeffs
+        c0, c1, c2 = deriv + (Fraction(0),) * (3 - len(deriv))
+        roots: set = set()
+        if c2:
+            disc = c1 * c1 - 4 * c0 * c2
+            if disc >= 0:
+                root = Surd.sqrt(disc)
+                root = root if root.q else root.p
+                roots = {(-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2)}
+        elif c1:
+            roots = {-c0 / c1}
+        candidates = [lo, *sorted(x for x in roots if lo < x < hi), hi]
+        return max(((x, self(x)) for x in candidates), key=lambda pair: pair[1])
+
 
 _X = RationalPolynomial((Fraction(0), Fraction(1)))
 
@@ -438,12 +459,11 @@ def f_b2k(a, k: int):
     return f_b2k_poly(k)(a)
 
 
-def f_b2k_prime(a, k: int):
-    """Evaluate the derivative of the limit objective at a."""
-    return f_b2k_poly(k).derivative()(a)
+# halvings of [0, 1] in f_b2k_numeric_max
+_BISECTION_STEPS = 200
 
 
-def f_b2k_numeric_max(k: int, iters: int = 200) -> tuple[float, float]:
+def f_b2k_numeric_max(k: int) -> tuple[float, float]:
     """Locate the maximum of f_b2k(., k) on [0, 1] numerically.
 
     Bisects the derivative, which is positive at 0 and negative at 1, so the
@@ -451,7 +471,7 @@ def f_b2k_numeric_max(k: int, iters: int = 200) -> tuple[float, float]:
     """
     fp = f_b2k_poly(k).derivative()
     lo, hi = 0.0, 1.0
-    for _ in range(iters):
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if fp(mid) > 0:
             lo = mid
@@ -459,22 +479,6 @@ def f_b2k_numeric_max(k: int, iters: int = 200) -> tuple[float, float]:
             hi = mid
     a_hat = 0.5 * (lo + hi)
     return a_hat, f_b2k(a_hat, k)
-
-
-def is_non_square_4k_minus_1(k: int) -> bool:
-    """True for every k >= 1: 4k - 1 is 3 mod 4 and squares are 0 or 1 mod 4.
-
-    Decided both by the mod-4 argument and by an integer-sqrt check; the two
-    must agree or an ArithmeticError is raised.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n = 4 * k - 1
-    by_mod = n % 4 not in (0, 1)
-    by_isqrt = isqrt(n) ** 2 != n
-    if by_mod != by_isqrt:
-        raise ArithmeticError(f"square tests disagree for {n}")
-    return by_isqrt
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +525,9 @@ def theorem1_bound_poly(a, b, c, d):
 
 
 def theorem1_bound_gradient(a, b, c, d):
-    """Partial derivatives of the bound polynomial in (a, b, c, d)."""
+    """Partial derivatives of the bound polynomial in (a, b, c, d), for the
+    numeric grid+refine ascent only; the exact cases differentiate
+    substitutions into ``theorem1_bound_poly`` instead."""
     ga = (a / 2 + b) * c + c * d + a * b / 2
     gb = (a + b) * c + c * d + a * a / 4
     gc = a * a / 4 + a * b + b * b / 2 + (a + b) * d + c * d
@@ -533,16 +539,6 @@ def theorem1_d0_cubic_poly() -> RationalPolynomial:
     """The d = 0 case objective after eliminating a = 2 - 4b and c = 3b - 1:
     11 b^3 / 2 - 21 b^2 / 2 + 6 b - 1."""
     return RationalPolynomial((Fraction(-1), Fraction(6), Fraction(-21, 2), Fraction(11, 2)))
-
-
-def theorem1_d0_critical_point() -> Surd:
-    """The cubic's critical point (7 - sqrt 5) / 11 inside [1/3, 1/2]."""
-    return Fraction(7, 11) - Fraction(1, 11) * Surd.sqrt(5)
-
-
-def theorem1_d0_peak_value() -> Surd:
-    """Exact value of the d = 0 cubic at its critical point; below 0.076."""
-    return theorem1_d0_cubic_poly()(theorem1_d0_critical_point())
 
 
 def _t1_kkt_c_from_b(b: Fraction) -> Fraction:
@@ -615,7 +611,9 @@ def theorem3_bound(w, a, k: int):
 
 def theorem3_bound_gradient(w, a, k: int):
     """Partial derivatives of ``theorem3_bound`` in w and a, with b = 1 - w - a
-    eliminated: each is the three-variable partial minus the b-partial."""
+    eliminated: each is the three-variable partial minus the b-partial.  For
+    the numeric grid+refine ascent only; the exact chain differentiates
+    substitutions into ``theorem3_bound`` instead."""
     b = 1 - w - a
     gw = _theorem3_t_prime_poly(k)(w) + a * b + b * b / 2 - w * (a + b)
     ga = a * (b - w) / 2 - a * a / 4
@@ -662,10 +660,10 @@ def theorem3_bound_chain(k: int) -> dict[str, bool]:
     returns whether each step holds, by step name in this order.
 
     Steps:
-      inner-maximizer: the a-partial of ``theorem3_bound`` (from
-            ``theorem3_bound_gradient``) vanishes identically at
-            a = (2 - 4w)/3, and ``theorem3_bound`` there is the envelope
-            g = T + the stated apex cubic;
+      inner-maximizer: the a-partial of ``theorem3_bound`` vanishes at
+            a = (2 - 4w)/3 for four values of w, hence identically, since
+            it has degree at most 3 in w; and ``theorem3_bound`` there is
+            the envelope g = T + the stated apex cubic;
       endpoint-1/16: the cubic envelope equals exactly 1/16 at w = 1/2,
             matching w (1 - w)^2 / 2 there;
       gprime-positive: g' stays positive on [0, 1/2]: it is a concave
@@ -682,7 +680,8 @@ def theorem3_bound_chain(k: int) -> dict[str, bool]:
     gp = g.derivative()
     g_half = g(half)
     return {
-        "inner-maximizer": (not theorem3_bound_gradient(w, a_inner, k)[1]
+        "inner-maximizer": (all(theorem3_bound(v, (2 - 4 * v) / 3 + w, k).derivative()(0) == 0
+                                for v in (Fraction(i, 4) for i in range(4)))
                             and theorem3_bound(w, a_inner, k) == g),
         "endpoint-1/16": (theorem3_cubic_part_poly()(half) == Fraction(1, 16)
                           == half * (1 - half) ** 2 / 2),

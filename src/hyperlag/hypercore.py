@@ -19,8 +19,6 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
-from fractions import Fraction
 from typing import Sequence, TextIO, Union
 
 import numpy as np
@@ -30,7 +28,6 @@ __all__ = [
     "WeightVector",
     "HypergraphFormatError",
     "lagrangian_value",
-    "density",
     "link_difference",
     "read_hypergraph",
     "write_hypergraph",
@@ -190,13 +187,6 @@ def lagrangian_value(G: UniformHypergraph, x: Weights):
         # in place, so exact products are freed as the partial sums replace them;
         # the final + 0 is the loop's 0 + ...: it turns -0.0 into 0.0
         return np.add.accumulate(prod, out=prod)[-1:].tolist()[0] + 0
-
-
-def density(G: UniformHypergraph) -> Fraction:
-    """Edge density |E| / C(n, r), exact."""
-    if G.n < G.r:
-        raise ValueError(f"density undefined: n = {G.n} < r = {G.r}")
-    return Fraction(G.m, comb(G.n, G.r))
 
 
 def link_difference(G: UniformHypergraph, j: int, i: int) -> frozenset[tuple[int, ...]]:

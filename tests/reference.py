@@ -6,6 +6,7 @@ type.  Not a test module; the test files import from it."""
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -17,6 +18,13 @@ from hyperlag.optimize import _compositions
 def edges(G) -> tuple:
     """The edges of G as sorted tuples of ints, in lexicographic order."""
     return tuple(map(tuple, G.edge_array.tolist()))
+
+
+def density(G: UniformHypergraph) -> Fraction:
+    """Edge density |E| / C(n, r), exact."""
+    if G.n < G.r:
+        raise ValueError(f"density undefined: n = {G.n} < r = {G.r}")
+    return Fraction(G.m, comb(G.n, G.r))
 
 
 def _weights(G, x):

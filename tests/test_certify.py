@@ -160,6 +160,18 @@ def test_certify_theorem1_interior_reads_the_bound_polynomial(monkeypatch):
     assert not rep.overall
 
 
+def test_certify_theorem1_a0_reads_the_bound_polynomial(monkeypatch):
+    # a term that vanishes at b = 2d and on the b=0 and d=0 edges keeps 2/25
+    # at (0, 2/5, 2/5, 1/5), but that point stops being stationary on a=0
+    def perturbed(a, b, c, d):
+        return theorem1_bound_poly(a, b, c, d) + (b - 2 * d) * b * c * d / 10
+
+    monkeypatch.setattr(certify, "theorem1_bound_poly", perturbed)
+    by_name = {c.case_name: c for c in certify_theorem1(grid_resolution=20, refine_iters=20).cases}
+    assert by_name["a=0"].bound_found == pytest.approx(0.08)
+    assert not by_name["a=0"].passed
+
+
 def test_certify_theorem1_b0_reads_the_bound_polynomial(monkeypatch):
     # the b^2 c / 2 term changed to 2 b^2 c / 5: the b=0 majorization identity breaks
     def perturbed(a, b, c, d):

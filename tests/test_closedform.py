@@ -19,13 +19,10 @@ from hyperlag.closedform import (
     f_b2k,
     f_b2k_numeric_max,
     f_b2k_poly,
-    f_b2k_prime,
-    is_non_square_4k_minus_1,
     square_free_split,
     theorem1_bound_gradient,
     theorem1_bound_poly,
-    theorem1_d0_critical_point,
-    theorem1_d0_peak_value,
+    theorem1_d0_cubic_poly,
     theorem3_bound,
     theorem3_bound_chain,
     theorem3_bound_gradient,
@@ -148,6 +145,47 @@ def test_polynomial_divides_by_a_scalar(cs, c, x):
         assert (p / c) * c == p
 
 
+def test_peak_by_degree():
+    assert RationalPolynomial((5,)).peak(1, 2) == (1, 5)            # a constant ties: leftmost
+    assert RationalPolynomial((2, -3)).peak(0, 1) == (0, 2)
+    assert X.peak(-1, 1) == (1, 1)
+    assert (X * (1 - X)).peak(0, 1) == (F(1, 2), F(1, 4))
+    # the derivative's root at the endpoint 1 is not a third candidate
+    assert (-(X - 1) ** 2).peak(0, 1) == (1, 0)
+    # x^3 + x: the derivative 3x^2 + 1 has a negative discriminant
+    assert (X**3 + X).peak(-1, 2) == (2, 10)
+    # x^3: a double root of the derivative inside
+    assert (X**3).peak(-1, 1) == (1, 1)
+    # 2x - x^3/3: surd roots +-sqrt 2 of the derivative
+    assert (2 * X - X**3 / 3).peak(0, 2) == (Surd.sqrt(2), F(4, 3) * Surd.sqrt(2))
+    # 3x - x^3: a rational square discriminant keeps the root a Fraction
+    argmax, value = (3 * X - X**3).peak(0, 2)
+    assert (argmax, value) == (1, 2) and type(argmax) is F
+    # a tie between the left end and the interior maximum: the left end wins
+    assert (3 * X - X**3).peak(-2, 2) == (-2, 2)
+
+
+def test_peak_refuses_degree_4_and_an_empty_interval():
+    with pytest.raises(ValueError, match="degree"):
+        (X**4).peak(0, 1)
+    with pytest.raises(ValueError, match="empty"):
+        X.peak(1, 0)
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+
+
+@given(st.lists(small_fractions, max_size=4), small_fractions, small_fractions,
+       st.lists(st.fractions(min_value=0, max_value=1, max_denominator=50), max_size=8))
+def test_peak_bounds_the_polynomial_on_the_interval(cs, x, y, ts):
+    p = RationalPolynomial(tuple(cs))
+    lo, hi = min(x, y), max(x, y)
+    argmax, value = p.peak(lo, hi)
+    assert lo <= argmax <= hi and p(argmax) == value
+    for t in [0, 1, *ts]:
+        assert value >= p(lo + t * (hi - lo))
+
+
 # ---------------------------------------------------------------------------
 # alpha_k and the B(2k, n) objective
 # ---------------------------------------------------------------------------
@@ -178,7 +216,7 @@ def test_astar_2_closed_form():
 @pytest.mark.parametrize("k", range(2, 9))
 def test_astar_is_exact_critical_point(k):
     a = astar_weight(k)
-    assert f_b2k_prime(a, k) == Surd(F(0))
+    assert f_b2k_poly(k).derivative()(a) == Surd(F(0))
     assert 6 * f_b2k(a, k) == alpha_k(k)
 
 
@@ -191,14 +229,12 @@ def test_f_b2k_values():
 @pytest.mark.parametrize("k", range(1, 9))
 def test_f_b2k_prime_is_formal_derivative(k):
     assert f_b2k_poly(k).derivative() == f_b2k_prime_reference(k)
-    for a in (F(0), F(1, 3), F(1)):
-        assert f_b2k_prime(a, k) == f_b2k_prime_reference(k)(a)
 
 
 def test_alpha_k_is_irrational_sampled():
     rng = random.Random(31)
     for k in [1, 2, 3, 17, 1000, 10**6] + [rng.randint(1, 10**6) for _ in range(50)]:
-        assert is_non_square_4k_minus_1(k)
+        assert math.isqrt(4 * k - 1) ** 2 != 4 * k - 1
         assert alpha_k(k).q != 0
 
 
@@ -224,7 +260,7 @@ def test_bound_poly_rejects_off_simplex():
 def test_bound_polynomials_substitute_polynomial_coordinates():
     # the c = 0 edge, and the d = 0 cubic after a = 2 - 4b, c = 3b - 1
     assert theorem1_bound_poly(X, 1 - X, F(0), F(0)) == RationalPolynomial((0, 0, F(1, 4), F(-1, 4)))
-    assert theorem1_bound_poly(2 - 4 * X, X, 3 * X - 1, F(0)) == closedform.theorem1_d0_cubic_poly()
+    assert theorem1_bound_poly(2 - 4 * X, X, 3 * X - 1, F(0)) == theorem1_d0_cubic_poly()
     for k in (2, 3):
         sub = theorem3_bound(X, F(1, 5), k)
         for w in (F(0), F(1, 4), F(3, 5)):
@@ -304,12 +340,12 @@ def test_check_simplex_rejects_nan(coord, row):
 
 
 def test_d0_cubic_values():
-    cubic = closedform.theorem1_d0_cubic_poly()
+    cubic = theorem1_d0_cubic_poly()
     assert cubic(F(1, 3)) == F(1, 27)
     assert cubic(F(1, 2)) == F(1, 16)
-    bstar = theorem1_d0_critical_point()
+    bstar, peak = cubic.peak(F(1, 3), F(1, 2))
     assert bstar == surd(F(7, 11), F(-1, 11), 5)
-    peak = theorem1_d0_peak_value()
+    assert cubic.derivative()(bstar) == 0
     assert (F(19, 250) - peak).sign() > 0          # strictly below 0.076
     assert abs(float(peak) - 0.0758706) < 1e-6
 
@@ -371,6 +407,18 @@ def test_bound_chain_fails_on_a_perturbed_bound(monkeypatch):
     # the a^2 b / 4 term of the bound function, changed to a^2 b / 5
     def perturbed(w, a, k):
         return theorem3_bound(w, a, k) - a * a * (1 - w - a) / 20
+
+    monkeypatch.setattr(closedform, "theorem3_bound", perturbed)
+    for k in (2, 3):
+        report = theorem3_bound_chain(k)
+        assert [step for step, holds in report.items() if not holds] == ["inner-maximizer"]
+
+
+def test_bound_chain_reads_the_inner_maximizer_off_the_bound(monkeypatch):
+    # a term that vanishes at a = (2 - 4w)/3 keeps the envelope but moves the
+    # inner maximizer: only the a-derivative of the bound itself can see it
+    def perturbed(w, a, k):
+        return theorem3_bound(w, a, k) + (a - (2 - 4 * w) / 3) * w * w / 10
 
     monkeypatch.setattr(closedform, "theorem3_bound", perturbed)
     for k in (2, 3):

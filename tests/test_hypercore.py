@@ -15,7 +15,6 @@ from hyperlag.hypercore import (
     UniformHypergraph,
     WeightVector,
     _powers,
-    density,
     format_hypergraph,
     lagrangian_value,
     link_difference,
@@ -27,7 +26,8 @@ from hyperlag.closedform import Surd
 from hyperlag.constructions import PartitionPattern, blow_up_pattern, build_theorem1_base
 from hyperlag.optimize import maximize_lagrangian, quotient, symmetry_reduce, verify_stationarity
 from reference import (
-    brute_link_difference, edges, lagrangian_gradient, lagrangian_value_loop, links_reference)
+    brute_link_difference, density, edges, lagrangian_gradient, lagrangian_value_loop,
+    links_reference)
 
 
 def complete3(n):

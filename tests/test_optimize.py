@@ -22,7 +22,6 @@ from hyperlag.constructions import (
 from hyperlag.hypercore import (
     UniformHypergraph,
     WeightVector,
-    density,
     lagrangian_value,
     link_difference,
 )
@@ -43,7 +42,7 @@ from hyperlag.optimize import (
     symmetry_reduce,
     verify_stationarity,
 )
-from reference import brute_link_difference, edges, grid_oracle_reference
+from reference import brute_link_difference, density, edges, grid_oracle_reference
 
 
 def complete3(n):

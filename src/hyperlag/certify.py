@@ -49,8 +49,7 @@ from .constructions import (
 )
 from .hypercore import UniformHypergraph
 from .optimize import (
-    _LATTICE_CAP, OptimizerConfig, _ascend, _compositions, _require_grid, iter_lattice,
-    maximize_lagrangian,
+    OptimizerConfig, _ascend, _compositions, _require_grid, iter_lattice, maximize_lagrangian,
 )
 # unused here: bench/test_bench.py checks that the tracer wraps project_to_simplex,
 # and the lattice size cap stays importable as certify.GRID_POINTS_MAX
@@ -71,6 +70,9 @@ __all__ = [
 ]
 
 T1_CONSTANT = Fraction(2, 25)
+# how far above its constant a grid+refine maximum may land and still pass
+_T1_TOL = 1e-9
+_T3_TOL = 1e-8
 # the best lattice points a grid+refine search refines
 _REFINE_STARTS = 100
 # the optimizer and tolerance of every part-size profile
@@ -86,10 +88,13 @@ def family(kind: str, k: int | None = None) -> tuple[PartitionPattern, int, obje
     (1-based) that receives the sparse adder in G* and the star in a profile,
     and the exact constant its certificate proves.
 
-    ``"t1"`` is the three-part pattern with part 1 and 2/25; ``"t3"`` is the
-    (2k+1)-part pattern with its apex part and alpha_k/6, for k >= 2.
+    ``"t1"`` is the three-part pattern with part 1 and 2/25, and takes no k;
+    ``"t3"`` is the (2k+1)-part pattern with its apex part and alpha_k/6, for
+    k >= 2.
     """
     if kind == "t1":
+        if k is not None:
+            raise ValueError(f"kind 't1' takes no k, got k = {k}")
         return theorem1_pattern(), 1, T1_CONSTANT
     if kind == "t3":
         if k is None or k < 2:
@@ -163,56 +168,54 @@ def _require_profile_budget(s: int | None) -> None:
         raise ValueError(f"profile budget must be >= 3, got {s}")
 
 
-def _grid_refine_max(
-    fn: Callable,
-    grad: Callable,
-    dims: int,
-    resolution: int,
-    refine_iters: int,
-    top: int,
-    cap: int = _LATTICE_CAP,
-) -> tuple[float, np.ndarray]:
-    """Maximize fn over the simplex: score every barycentric lattice point,
-    keep the ``top`` best by value, ties to the lexicographically smaller
-    point, then run projected ascent from them, as one batch, until a step
-    gains at most 1e-17.  The result does not depend on ``cap``.
+def _lattice_blocks(dims: int, resolution: int):
+    """The lattice points a/N of the simplex, N = ``resolution``, as blocks of
+    one broadcasting array per coordinate, each block in lexicographic order
+    along its flat index.
 
-    For dims >= 4 a point splits into a head, its first dims - 2
-    coordinates with sum s, and a tail (j, rest - j) / resolution for
-    j = 0..rest with rest = resolution - s.  Heads come from ``iter_lattice``
-    as (H, 1) columns, tails as two views of one row, so ``fn`` scores an
-    (H, rest + 1) block of at most max(cap, rest + 1) points by broadcasting,
-    in lexicographic order along the flat index.  ``fn`` and ``grad`` must
-    be elementwise numpy expressions that broadcast; the ascent passes them
-    one column per coordinate, one point per row."""
-    if top < 1:
-        raise ValueError(f"top must be >= 1, got {top}")
+    In four coordinates each block is one sum s = a + b: (a, b) are two
+    (s + 1, 1) column views of one row v = (0, 1, ..., N) / N and (c, d) two
+    row views, so a block is (s + 1, N - s + 1) points and no point is built.
+    Any other ``dims`` gets whole rows of ``iter_lattice``, one block per chunk."""
+    if dims != 4:
+        for chunk in iter_lattice(dims, resolution):
+            yield tuple(chunk.T / resolution)  # one contiguous row per coordinate
+        return
+    v = np.arange(resolution + 1) / resolution
+    for s in range(resolution + 1):
+        rest = resolution - s
+        yield v[:s + 1, None], v[s::-1, None], v[:rest + 1], v[rest::-1]
+
+
+def _grid_refine_max(fn: Callable, grad: Callable, dims: int, resolution: int,
+                     refine_iters: int) -> tuple[float, np.ndarray]:
+    """Maximize fn over the simplex: score every barycentric lattice point,
+    keep the ``_REFINE_STARTS`` best by value, ties to the lexicographically
+    smaller point, then run projected ascent from them, as one batch, until a
+    step gains at most 1e-17.
+
+    ``fn`` scores each block of ``_lattice_blocks`` by broadcasting.  ``fn``
+    and ``grad`` must be elementwise numpy expressions that broadcast; the
+    ascent passes them one column per coordinate, one point per row."""
     if refine_iters < 0:
         raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
-    # three coordinates stay whole: a one-coordinate head would score one
-    # row per block, far slower than the 3-column lattice chunks
-    split = 2 if dims >= 4 else 0
-    v = np.arange(resolution + 1) / resolution
     best_vals, best_pts = np.empty(0), np.empty((0, dims))
-    for s in range(resolution + 1) if split else (resolution,):
-        rest = resolution - s
-        width = rest + 1 if split else 1
-        tail = (v[:width], v[rest::-1]) if split else ()
-        for head in iter_lattice(dims - split, s, max(1, cap // width)):
-            cols = head.T / resolution  # one contiguous row per head coordinate
-            vals = np.broadcast_to(fn(*cols[:, :, None], *tail), (len(head), width)).ravel()
-            # below the block's own top-th value nothing can be kept; a point
-            # tied with the last one kept may still win on order
-            k = min(top, vals.size)
-            floor = best_vals[-1] if best_vals.size == top else np.partition(vals, -k)[-k]
-            idx = np.flatnonzero(vals >= floor)
-            if not idx.size:
-                continue
-            row, j = divmod(idx, width)
-            best_vals = np.concatenate([best_vals, vals[idx]])
-            best_pts = np.vstack([best_pts, np.column_stack([*cols[:, row], *(t[j] for t in tail)])])
-            order = np.lexsort((*best_pts.T[::-1], -best_vals))[:top]
-            best_vals, best_pts = best_vals[order], best_pts[order]
+    for cols in _lattice_blocks(dims, resolution):
+        shape = np.broadcast(*cols).shape
+        vals = np.broadcast_to(fn(*cols), shape).ravel()
+        # below the block's own top-th value nothing can be kept; a point
+        # tied with the last one kept may still win on order
+        k = min(_REFINE_STARTS, vals.size)
+        floor = best_vals[-1] if best_vals.size == _REFINE_STARTS else np.partition(vals, -k)[-k]
+        idx = np.flatnonzero(vals >= floor)
+        if not idx.size:
+            continue
+        at = np.unravel_index(idx, shape)
+        best_vals = np.concatenate([best_vals, vals[idx]])
+        best_pts = np.vstack([best_pts, np.column_stack([np.broadcast_to(c, shape)[at]
+                                                         for c in cols])])
+        order = np.lexsort((*best_pts.T[::-1], -best_vals))[:_REFINE_STARTS]
+        best_vals, best_pts = best_vals[order], best_pts[order]
     X, F, _ = _ascend(lambda P: fn(*P.T),
                       lambda P: np.column_stack(np.broadcast_arrays(*grad(*P.T))),
                       best_pts, refine_iters, lambda P, vals, G, gain: gain <= 1e-17)
@@ -315,16 +318,16 @@ def _case_interior() -> CaseVerdict:
     return CaseVerdict("interior", T1_CONSTANT, float(T1_CONSTANT), "exact", ok, detail=detail)
 
 
-def _case_t1_global(resolution: int, refine_iters: int, tol: float) -> CaseVerdict:
+def _case_t1_global(resolution: int, refine_iters: int) -> CaseVerdict:
     found, pt = _grid_refine_max(
-        theorem1_bound_poly, theorem1_bound_gradient, 4, resolution, refine_iters, _REFINE_STARTS
+        theorem1_bound_poly, theorem1_bound_gradient, 4, resolution, refine_iters
     )
     target = np.array([0.0, 0.4, 0.4, 0.2])
     close = float(np.abs(pt - target).max())
-    ok = found <= float(T1_CONSTANT) + tol and close <= 1e-4
+    ok = found <= float(T1_CONSTANT) + _T1_TOL and close <= 1e-4
     return CaseVerdict(
         "global", T1_CONSTANT, found, "grid+refine", ok,
-        witness=tuple(float(v) for v in pt), tol=tol,
+        witness=tuple(float(v) for v in pt), tol=_T1_TOL,
         detail=f"argmax distance to (0, 0.4, 0.4, 0.2) in sup norm: {close:.2e}",
     )
 
@@ -332,7 +335,6 @@ def _case_t1_global(resolution: int, refine_iters: int, tol: float) -> CaseVerdi
 def certify_theorem1(
     grid_resolution: int = 200,
     refine_iters: int = 500,
-    tol: float = 1e-9,
     profile_s: int | None = None,
 ) -> CertificateReport:
     """Certify that the bound polynomial never exceeds 2/25 on the simplex.
@@ -350,12 +352,12 @@ def certify_theorem1(
         _case_b0(),
         _case_d0(),
         _case_interior(),
-        _case_t1_global(grid_resolution, refine_iters, tol),
+        _case_t1_global(grid_resolution, refine_iters),
     ]
     return _report("t1", None, cases, T1_CONSTANT, profile_s, {
         "grid_resolution": grid_resolution,
         "refine_iters": refine_iters,
-        "tol": tol,
+        "tol": _T1_TOL,
         "top": _REFINE_STARTS,
         "profile_s": profile_s,
     })
@@ -422,7 +424,6 @@ def _case_t3_chain(k: int) -> CaseVerdict:
 def certify_theorem3(
     k: int,
     grid_resolution: int = 200,
-    tol: float = 1e-8,
     refine_iters: int = 500,
     profile_s: int | None = None,
 ) -> CertificateReport:
@@ -435,12 +436,12 @@ def certify_theorem3(
     found, pt = _grid_refine_max(
         lambda w, a, b: theorem3_bound(w, a, k),
         lambda w, a, b: (*theorem3_bound_gradient(w, a, k), 0.0),
-        3, grid_resolution, refine_iters, _REFINE_STARTS,
+        3, grid_resolution, refine_iters,
     )
-    global_ok = found <= float(target) + tol
+    global_ok = found <= float(target) + _T3_TOL
     global_case = CaseVerdict(
         "global", target, found, "grid+refine", global_ok,
-        witness=tuple(float(v) for v in pt), tol=tol,
+        witness=tuple(float(v) for v in pt), tol=_T3_TOL,
         detail=f"peak over (w, a) at w={pt[0]:.6f}, a={pt[1]:.6f}; target {float(target):.9f}",
     )
 
@@ -449,7 +450,7 @@ def certify_theorem3(
         "k": k,
         "grid_resolution": grid_resolution,
         "refine_iters": refine_iters,
-        "tol": tol,
+        "tol": _T3_TOL,
         "top": _REFINE_STARTS,
         "profile_s": profile_s,
     })

@@ -110,9 +110,8 @@ def _build_gstar(args):
     adder = constructions.generate_sparse_adder(
         constructions.SparseAdderParams(s=args.s, c=args.c, t=hi - lo + 1, seed=args.seed))
     G = constructions.assemble_gstar(base, adder, range(lo, hi + 1))
-    k = args.k if args.kind == "t3" else None
     meta = constructions.construction_metadata(
-        f"gstar_{args.kind}", k=k, t=args.t, s=args.s, c=args.c, seed=args.seed, parts=parts)
+        f"gstar_{args.kind}", k=args.k, t=args.t, s=args.s, c=args.c, seed=args.seed, parts=parts)
     return G, meta
 
 
@@ -134,8 +133,10 @@ def cmd_alpha(args) -> int:
 def cmd_certify(args) -> int:
     if args.theorem == "t3" and args.k is None:
         raise ValueError("certify t3 needs --k")
+    if args.theorem == "t1" and args.k is not None:
+        raise ValueError("certify t1 takes no --k")
     # options left out keep the library's defaults
-    given = {"grid_resolution": args.grid, "refine_iters": args.refine_iters, "tol": args.tol}
+    given = {"grid_resolution": args.grid, "refine_iters": args.refine_iters}
     options = {name: value for name, value in given.items() if value is not None}
     if args.theorem == "t1":
         report = certify.certify_theorem1(profile_s=args.profiles, **options)
@@ -202,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--refine-iters", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--profiles", type=int, default=None,
                    help="also optimize every part-size profile up to this total size")
     add_out(p)

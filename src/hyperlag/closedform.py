@@ -49,7 +49,6 @@ __all__ = [
     "verify_theorem1_quartic_identity",
     "theorem3_bound",
     "theorem3_t_poly",
-    "theorem3_cubic_part_poly",
     "theorem3_g_poly",
     "theorem3_c0",
     "theorem3_bound_chain",
@@ -637,14 +636,10 @@ def theorem3_t_poly(k: int) -> RationalPolynomial:
     )
 
 
-def theorem3_cubic_part_poly() -> RationalPolynomial:
-    """Apex contribution along the inner maximizer: 11w^3/54 - 5w^2/9 + 5w/18 + 1/27."""
-    return RationalPolynomial((Fraction(1, 27), Fraction(5, 18), Fraction(-5, 9), Fraction(11, 54)))
-
-
 def theorem3_g_poly(k: int) -> RationalPolynomial:
-    """Upper envelope g(w) of the bound over a, valid for w < 1/2."""
-    return theorem3_t_poly(k) + theorem3_cubic_part_poly()
+    """Upper envelope g(w) of the bound over a, valid for w < 1/2: the bound
+    at its inner maximizer a = (2 - 4w)/3."""
+    return theorem3_bound(_X, (2 - 4 * _X) / 3, k)
 
 
 def theorem3_c0(k: int) -> Surd:
@@ -662,10 +657,9 @@ def theorem3_bound_chain(k: int) -> dict[str, bool]:
     Steps:
       inner-maximizer: the a-partial of ``theorem3_bound`` vanishes at
             a = (2 - 4w)/3 for four values of w, hence identically, since
-            it has degree at most 3 in w; and ``theorem3_bound`` there is
-            the envelope g = T + the stated apex cubic;
-      endpoint-1/16: the cubic envelope equals exactly 1/16 at w = 1/2,
-            matching w (1 - w)^2 / 2 there;
+            it has degree at most 3 in w; g is the bound there;
+      endpoint-1/16: the apex part g - T of the envelope equals exactly
+            1/16 at w = 1/2, matching w (1 - w)^2 / 2 there;
       gprime-positive: g' stays positive on [0, 1/2]: it is a concave
             quadratic with positive values at both endpoints;
       half-point-bound: g(1/2) equals f_b2k(1/2, k) exactly and sits
@@ -674,16 +668,14 @@ def theorem3_bound_chain(k: int) -> dict[str, bool]:
     if k < 2:
         raise ValueError(f"chain requires k >= 2, got {k}")
     w = _X
-    a_inner = (2 - 4 * w) / 3
     g = theorem3_g_poly(k)
     half = Fraction(1, 2)
     gp = g.derivative()
     g_half = g(half)
     return {
-        "inner-maximizer": (all(theorem3_bound(v, (2 - 4 * v) / 3 + w, k).derivative()(0) == 0
-                                for v in (Fraction(i, 4) for i in range(4)))
-                            and theorem3_bound(w, a_inner, k) == g),
-        "endpoint-1/16": (theorem3_cubic_part_poly()(half) == Fraction(1, 16)
+        "inner-maximizer": all(theorem3_bound(v, (2 - 4 * v) / 3 + w, k).derivative()(0) == 0
+                               for v in (Fraction(i, 4) for i in range(4))),
+        "endpoint-1/16": (g_half - theorem3_t_poly(k)(half) == Fraction(1, 16)
                           == half * (1 - half) ** 2 / 2),
         # a concave quadratic lies above its chord
         "gprime-positive": (gp.degree == 2 and gp.coeffs[2] < 0

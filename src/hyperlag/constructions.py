@@ -116,8 +116,12 @@ class SparseAdderParams:
             raise ValueError(f"s must be >= r = {self.r}, got {self.s}")
         if self.t < self.r:
             raise ValueError(f"t must be >= r = {self.r}, got {self.t}")
-        if self.c <= 0:
-            raise ValueError(f"density constant must be positive, got {self.c}")
+        if not (isinstance(self.c, Fraction) or math.isfinite(self.c)) or self.c <= 0:
+            raise ValueError(f"density constant must be finite and positive, got {self.c}")
+        target, sets = self.target_edges(), math.comb(self.t, self.r)
+        if target > sets:
+            raise ValueError(f"c = {self.c} asks for {target:,} edges, more than the {sets:,} "
+                             f"{self.r}-sets of t = {self.t} vertices")
 
     def target_edges(self) -> int:
         c = self.c if isinstance(self.c, Fraction) else Fraction(self.c).limit_denominator(10**6)

@@ -60,7 +60,7 @@ def test_01_construction_counts():
 
 def test_02_bound_polynomial_global_optimum():
     t0 = time.perf_counter()
-    rep = certify_theorem1(grid_resolution=200, refine_iters=500, tol=1e-9)
+    rep = certify_theorem1(grid_resolution=200, refine_iters=500)
     elapsed = time.perf_counter() - t0
     case = {c.case_name: c for c in rep.cases}["global"]
     value_ok = abs(case.bound_found - 0.08) <= 1e-9
@@ -102,7 +102,7 @@ def test_06_theorem3_certification():
     worst = 0.0
     for k in (2, 3, 4, 5):
         t0 = time.perf_counter()
-        rep = certify_theorem3(k, grid_resolution=200, tol=1e-8)
+        rep = certify_theorem3(k, grid_resolution=200)
         elapsed = time.perf_counter() - t0
         case = {c.case_name: c for c in rep.cases}
         ok = (rep.overall and elapsed < 60.0

@@ -103,7 +103,7 @@ def test_reduce_star_never_decreases_optimum_under_sparsity_cap():
 # ---------------------------------------------------------------------------
 
 def test_certify_theorem1_quick():
-    rep = certify_theorem1(grid_resolution=60, refine_iters=200, tol=1e-9)
+    rep = certify_theorem1(grid_resolution=60, refine_iters=200)
     assert rep.overall
     names = [c.case_name for c in rep.cases]
     assert names == ["c=0", "a=0", "b=0", "d=0", "interior", "global"]
@@ -129,7 +129,7 @@ def test_report_json_renames_and_encodes_fields():
 
 
 def test_certify_theorem1_coarse_grid_fails():
-    rep = certify_theorem1(grid_resolution=2, refine_iters=0, tol=1e-9)
+    rep = certify_theorem1(grid_resolution=2, refine_iters=0)
     by_name = {c.case_name: c for c in rep.cases}
     assert not by_name["global"].passed
     assert not rep.overall
@@ -189,7 +189,7 @@ def test_certify_theorem1_b0_reads_the_bound_polynomial(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_certify_theorem3_k2_quick():
-    rep = certify_theorem3(2, grid_resolution=80, tol=1e-8, refine_iters=200)
+    rep = certify_theorem3(2, grid_resolution=80, refine_iters=200)
     assert rep.overall
     by_name = {c.case_name: c for c in rep.cases}
     target = float(alpha_k(2)) / 6
@@ -428,17 +428,6 @@ def test_profiles_t3_all_singletons():
     assert value <= float(alpha_k(2)) / 6 + 1e-7
 
 
-def test_grid_search_unaffected_by_chunking():
-    from hyperlag.certify import _grid_refine_max
-    from hyperlag.closedform import theorem1_bound_gradient, theorem1_bound_poly
-
-    fn, grad = theorem1_bound_poly, theorem1_bound_gradient
-    whole = _grid_refine_max(fn, grad, 4, 24, 50, 20)
-    for cap in (500, 7):
-        value, witness = _grid_refine_max(fn, grad, 4, 24, 50, 20, cap=cap)
-        assert value == whole[0] and witness.tobytes() == whole[1].tobytes()
-
-
 def _integer_cubic(dims, seed):
     """A cubic with small random integer coefficients, as a broadcasting
     elementwise expression, and its gradient: (p.x)(q.x)(u.x) + sum c_i x_i^3.
@@ -464,7 +453,6 @@ def _integer_cubic(dims, seed):
 def test_grid_search_matches_dense_reference(dims):
     from hyperlag.certify import _grid_refine_max
     from hyperlag.closedform import theorem1_bound_gradient
-    from hyperlag.optimize import _LATTICE_CAP
 
     fns = [_integer_cubic(dims, 33)]  # tied at the top for every dims and N here
     if dims == 4:
@@ -473,15 +461,19 @@ def test_grid_search_matches_dense_reference(dims):
     for (fn, grad), N in itertools.product(fns, (1, 2, 7, 24, 37)):
         vals, pts = grid_top_reference(fn, dims, N, 5)
         ties += vals[0] == vals[1]
-        for cap in (1, 7, 500, _LATTICE_CAP):
-            value, witness = _grid_refine_max(fn, grad, dims, N, 0, 5, cap=cap)
-            assert value == vals[0] and witness.tobytes() == pts[0].tobytes()
+        value, witness = _grid_refine_max(fn, grad, dims, N, 0)
+        assert value == vals[0] and witness.tobytes() == pts[0].tobytes()
     assert ties  # the order among tied points is exercised
 
 
-def test_grid_search_needs_a_candidate():
+def test_four_coordinate_grid_search_builds_no_lattice_rows(monkeypatch):
     from hyperlag.certify import _grid_refine_max
     from hyperlag.closedform import theorem1_bound_gradient
 
-    with pytest.raises(ValueError, match="top"):
-        _grid_refine_max(theorem1_bound_poly, theorem1_bound_gradient, 4, 4, 0, 0)
+    def no_rows(*args, **kwargs):
+        raise AssertionError("lattice rows built for a four-coordinate scan")
+
+    monkeypatch.setattr(certify, "iter_lattice", no_rows)
+    vals, pts = grid_top_reference(theorem1_bound_poly, 4, 24, 1)
+    value, witness = _grid_refine_max(theorem1_bound_poly, theorem1_bound_gradient, 4, 24, 0)
+    assert value == vals[0] and witness.tobytes() == pts[0].tobytes()

@@ -134,6 +134,11 @@ MISSING = "missing/out.txt"
     (("construct", "b2k", "--k", "1", "--n", "6", "--out", MISSING), "No such file"),
     (("alpha", "--k", "2", "--out", MISSING), "No such file"),
     (("certify", "t1", "--grid", "4", "--refine-iters", "0", "--out", MISSING), "No such file"),
+    (("certify", "t1", "--k", "5"), "takes no --k"),
+    (("density-gain", "--kind", "t1", "--t", "25", "--k", "5"), "takes no k"),
+    (("construct", "sparse", "--t", "20", "--c", "100"), "more than the 1,140 3-sets"),
+    (("construct", "sparse", "--t", "20", "--c", "inf"), "finite and positive"),
+    (("construct", "sparse", "--t", "20", "--c", "nan"), "finite and positive"),
 ])
 def test_input_errors_exit_1(capsys, tmp_path, argv, problem):
     argv = [str(tmp_path / a) if a == MISSING else a for a in argv]
@@ -143,7 +148,9 @@ def test_input_errors_exit_1(capsys, tmp_path, argv, problem):
         (tmp_path / "empty.txt").write_text("3 0 0\n")
         (tmp_path / "edge.txt").write_text("3 3 1\n1 2 3\n")
         argv[1] = str(tmp_path / argv[1])
+    start = time.perf_counter()
     code, stdout, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 1 and problem in err and stdout == ""
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "g.txt").exists()
@@ -151,7 +158,7 @@ def test_input_errors_exit_1(capsys, tmp_path, argv, problem):
 
 def test_adder_failure_exits_3(capsys, tmp_path):
     out = tmp_path / "a.txt"
-    code, stdout, err = run(capsys, "construct", "sparse", "--s", "4", "--c", "10",
+    code, stdout, err = run(capsys, "construct", "sparse", "--s", "4", "--c", "0.2",
                             "--t", "4", "--seed", "1", "--out", str(out))
     assert code == 3 and "larger t" in err and stdout == ""
     assert len(err.splitlines()) == 1 and not out.exists()

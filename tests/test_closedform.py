@@ -26,8 +26,8 @@ from hyperlag.closedform import (
     theorem3_bound,
     theorem3_bound_chain,
     theorem3_bound_gradient,
-    theorem3_cubic_part_poly,
     theorem3_g_poly,
+    theorem3_t_poly,
     verify_theorem1_quartic_identity,
 )
 
@@ -370,9 +370,12 @@ def test_quartic_identity_and_interior_contradictions():
 # ---------------------------------------------------------------------------
 
 def test_cubic_part_endpoint_identity():
+    # the apex cubic as stated: 11w^3/54 - 5w^2/9 + 5w/18 + 1/27
+    cubic = RationalPolynomial((F(1, 27), F(5, 18), F(-5, 9), F(11, 54)))
     val = F(11, 54) * F(1, 8) - F(5, 9) * F(1, 4) + F(5, 18) * F(1, 2) + F(1, 27)
-    assert val == F(1, 16)
-    assert theorem3_cubic_part_poly()(F(1, 2)) == F(1, 16)
+    assert val == F(1, 16) == cubic(F(1, 2))
+    for k in range(2, 7):
+        assert theorem3_g_poly(k) == theorem3_t_poly(k) + cubic
 
 
 def test_g_half_sits_below_alpha_over_6():

@@ -336,7 +336,7 @@ def test_adder_at_s_equal_r_keeps_the_first_distinct_draws(r, t, c, seed):
 
 def test_generate_failure_advises_larger_t():
     with pytest.raises(AdderGenerationError, match="larger t"):
-        generate_sparse_adder(SparseAdderParams(s=4, c=10, t=4, seed=1))
+        generate_sparse_adder(SparseAdderParams(s=4, c=0.2, t=4, seed=1))
 
 
 def test_assemble_gstar_counts():

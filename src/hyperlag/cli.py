@@ -4,8 +4,8 @@ JSON results go to stdout, human-readable progress to stderr, so pipelines
 can consume the output while a terminal user still sees what happened.
 Exit codes: 0 success / certification pass, 1 usage or input error,
 2 certification failure, 3 adder generation failure.  ``main`` maps the
-input, file and generator errors of every subcommand to these codes, with
-one stderr line each.
+usage, input, file and generator errors of every subcommand to these codes,
+with one stderr line each.
 """
 
 from __future__ import annotations
@@ -159,8 +159,17 @@ def cmd_density_gain(args) -> int:
     return EXIT_OK if report.passed else EXIT_CERT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ValueError``, so they
+    take ``main``'s input-error path instead of argparse's exit 2; subparsers
+    are built from the same class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperlag",
         description="Hypergraph Lagrangians: constructions, optimization, certificates.",
     )
@@ -222,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except hypercore.HypergraphFormatError as exc:  # a ValueError, so caught first
         _say(f"parse error in {args.path}: {exc}")

@@ -11,6 +11,7 @@ claims belong to the certification pipelines, never to the heuristic search.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -41,8 +42,12 @@ class OptimizerConfig:
     """Knobs for the multi-start ascent.
 
     ``restarts`` starting points are each ascended for at most ``max_iters``
-    Armijo steps, until the KKT residual is within ``tolerance``.  ``seed``
-    fixes the Dirichlet starting points.
+    Armijo steps, until the KKT residual is within ``tolerance``.  The starts
+    are the uniform vector, one vector uniform on each twin class while they
+    fit, then Dirichlet(1, ..., 1) draws: start ``i`` from
+    ``random.Random(f"{seed}:{i}")``, the same in every process.  On a graph
+    with fewer twin classes than ``restarts - 1``, output at a given ``seed``
+    differs from versions that drew these starts with numpy's generator.
     """
 
     restarts: int = 12
@@ -170,7 +175,10 @@ def _starting_points(sizes: np.ndarray, owner: np.ndarray, cfg: OptimizerConfig)
     starts = np.full((cfg.restarts, n), 1.0 / n)
     starts[1:classes + 1] = (owner == np.arange(classes)[:, None]) / sizes[:classes, None]
     for idx in range(classes + 1, cfg.restarts):
-        starts[idx] = np.random.default_rng((cfg.seed, idx)).dirichlet(np.ones(n))
+        # Dirichlet(1, ..., 1): n Exp(1) draws over their sum
+        rng = random.Random(f"{cfg.seed}:{idx}")
+        draws = np.array([rng.expovariate(1.0) for _ in range(n)])
+        starts[idx] = draws / draws.sum()
     return starts
 
 
@@ -185,8 +193,7 @@ def maximize_lagrangian(
     is lifted by spreading each class sum evenly over the class.  So
     ``argmax`` is constant on every twin class, and by Frankl-Rodl
     symmetrization no maximum is lost.  Deterministic given the seed.
-    Restart starting points are one uniform vector, one uniform-on-class
-    vector per twin class, and Dirichlet draws for the remainder.  Ties in
+    Restart starting points are as ``OptimizerConfig`` says.  Ties in
     value (within 1e-12) resolve to the lexicographically smallest support.
     The reported value and stationarity residual are computed on G itself.
     """

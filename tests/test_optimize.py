@@ -33,6 +33,7 @@ from hyperlag.optimize import (
     _compositions,
     _gradient,
     _kkt_residuals,
+    _starting_points,
     _value,
     grid_oracle,
     iter_lattice,
@@ -116,6 +117,23 @@ def test_determinism():
     b = maximize_lagrangian(G, CFG)
     assert a.value == b.value
     assert a.argmax.weights == b.argmax.weights
+
+
+def test_starting_points_on_a_graph_with_twins():
+    _, _, sizes, owner = quotient(build_theorem1_base(10))
+    k, n = sizes.size, owner.size
+    starts = _starting_points(sizes, owner, OptimizerConfig(seed=0))
+    assert starts.shape == (12, n) and k + 1 < 12  # some rows are Dirichlet draws
+    assert (starts >= 0).all()
+    assert np.abs(starts.sum(axis=1) - 1).max() <= 1e-12
+    assert np.array_equal(starts, _starting_points(sizes, owner, OptimizerConfig(seed=0)))
+    # the uniform vector, then uniform on each twin class in class order
+    assert np.array_equal(starts[0], np.full(n, 1.0 / n))
+    for c in range(k):
+        assert np.array_equal(starts[c + 1], np.where(owner == c, 1.0 / sizes[c], 0.0))
+    other = _starting_points(sizes, owner, OptimizerConfig(seed=5))
+    assert np.array_equal(other[: k + 1], starts[: k + 1])
+    assert all((other[i] != starts[i]).any() for i in range(k + 1, 12))
 
 
 def test_value_consistent_with_argmax():

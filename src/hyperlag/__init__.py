@@ -17,7 +17,6 @@ from .hypercore import (
     write_hypergraph,
 )
 from .closedform import (
-    Rational,
     RationalPolynomial,
     Surd,
     alpha_k,

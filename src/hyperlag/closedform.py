@@ -1,8 +1,8 @@
 """Exact arithmetic and the closed-form layer behind the certified bounds.
 
-Three value types live here: stdlib ``Fraction`` rationals (re-exported as
-``Rational``), quadratic surds ``p + q*sqrt(d)`` with a fixed square-free
-radicand, and dense univariate polynomials with rational coefficients.
+Three value types live here: stdlib ``Fraction`` rationals, quadratic surds
+``p + q*sqrt(d)`` with a fixed square-free radicand, and dense univariate
+polynomials with rational coefficients.
 On top of them sit the formulas the certification pipelines need: the
 irrational bound family ``alpha_k``, its maximizer ``a*``, the limit
 objective ``f_b2k`` of the B(2k, n) family, the bound polynomial and cubic
@@ -30,10 +30,7 @@ import numpy as np
 
 from .hypercore import WeightVector
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Surd",
     "RationalPolynomial",
     "square_free_split",

@@ -244,17 +244,32 @@ def _require_fit(pattern: PartitionPattern, sizes: Sequence[int]) -> None:
 def blow_up_pattern(pattern: PartitionPattern, sizes: Sequence[int]) -> UniformHypergraph:
     """Expand every template over consecutive parts of the given sizes; the
     graph has sum(sizes) vertices, and a template naming a part more often
-    than the part has members contributes no edges."""
+    than the part has members contributes no edges.
+
+    Each (part, multiplicity) pair gets one int64 table of the part's member
+    combinations, and a template's edges are the Cartesian product of its
+    tables, broadcast into its rows of one preallocated (m, r) array."""
     if len(sizes) != pattern.num_parts:
         raise ValueError(f"{len(sizes)} part sizes for {pattern.num_parts} parts")
     members = [range(lo, hi + 1) for lo, hi in _blocks(sizes)]
-    flat: list[int] = []
-    for template in pattern.templates:
-        pools = [itertools.combinations(members[part - 1], need) for part, need in _demand(template)]
-        # sum(combo, ()) joins the members drawn from each part into one edge
-        flat.extend(itertools.chain.from_iterable(
-            map(sum, itertools.product(*pools), itertools.repeat(()))))
-    E = np.array(flat, dtype=np.int64).reshape(-1, pattern.r)
+    # a template some part is too small to fill adds no edges; skipping it keeps tables nonempty
+    demands = [d for d in map(_demand, pattern.templates) if all(sizes[p - 1] >= k for p, k in d)]
+    counts = [tuple(math.comb(sizes[part - 1], need) for part, need in d) for d in demands]
+    E = np.empty((sum(map(math.prod, counts)), pattern.r), dtype=np.int64)
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    row = 0
+    for demand, shape in zip(demands, counts):
+        block = E[row:row + math.prod(shape)].reshape(shape + (pattern.r,))
+        row, col = row + math.prod(shape), 0
+        for axis, (part, need) in enumerate(demand):
+            if (part, need) not in tables:
+                combos = itertools.combinations(members[part - 1], need)
+                tables[part, need] = np.fromiter(
+                    itertools.chain.from_iterable(combos), dtype=np.int64).reshape(-1, need)
+            # the table runs along its own axis: the first varies slowest, as in itertools.product
+            block[..., col:col + need] = tables[part, need].reshape(
+                (1,) * axis + (-1,) + (1,) * (len(shape) - axis - 1) + (need,))
+            col += need
     return UniformHypergraph(pattern.r, sum(sizes), E)
 
 

@@ -274,9 +274,35 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
     raise HypergraphFormatError(lineno, "vertex indices beyond the int64 range")
 
 
+# at r = 3 a block's int64 temporaries (96 KiB) stay under glibc's 128 KiB mmap threshold
+_BLOCK_ROWS = 1 << 12
+
+
+def _text_blocks(G: UniformHypergraph):
+    """The text of G: the header, then the edge lines in blocks of _BLOCK_ROWS edges.
+
+    A block is a byte matrix with one row per vertex index: its decimal
+    digits right-aligned, zero bytes as padding, then a space or a newline.
+    Its nonzero bytes are the text, so the cost is O(m r digits), whatever n is."""
+    yield f"{G.r} {G.n} {G.m}\n"
+    width = len(str(G.edge_array.max(initial=0)))
+    E = G.edge_array.view(np.uint64)  # indices are positive; unsigned division is faster
+    for lo in range(0, G.m, _BLOCK_ROWS):
+        rest = E[lo:lo + _BLOCK_ROWS].ravel()
+        text = np.empty((len(rest), width + 1), dtype=np.uint8)
+        text[:, width] = ord(" ")
+        text[G.r - 1::G.r, width] = ord("\n")
+        for col in range(width - 1, -1, -1):
+            nxt = rest // 10
+            digit = rest - nxt * 10 + ord("0")
+            digit[rest == 0] = 0  # left of the leading digit
+            text[:, col] = digit
+            rest = nxt
+        yield text[text != 0].tobytes().decode("ascii")
+
+
 def format_hypergraph(G: UniformHypergraph) -> str:
-    row = "%d " * (G.r - 1) + "%d\n"
-    return f"{G.r} {G.n} {G.m}\n" + row * G.m % tuple(G.edge_array.ravel().tolist())
+    return "".join(_text_blocks(G))
 
 
 def read_hypergraph(source: Union[str, TextIO]) -> UniformHypergraph:
@@ -288,10 +314,11 @@ def read_hypergraph(source: Union[str, TextIO]) -> UniformHypergraph:
 
 
 def write_hypergraph(G: UniformHypergraph, target: Union[str, TextIO]) -> None:
-    """Write in canonical sorted order to a path or an open text stream."""
-    text = format_hypergraph(G)
+    """Write in canonical sorted order to a path or an open text stream, block
+    by block: the text of ``format_hypergraph``, through ``write`` calls only."""
     if hasattr(target, "write"):
-        target.write(text)
+        for block in _text_blocks(G):
+            target.write(block)
         return
     with open(target, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(_text_blocks(G))

@@ -102,6 +102,26 @@ def brute_link_difference(G, j, i):
     return frozenset(out)
 
 
+def blow_up_pattern_reference(pattern, sizes) -> UniformHypergraph:
+    """The tuple blow-up the array one replaced: each template's edges are
+    ``itertools.product`` over the combinations of its parts' members, in
+    consecutive blocks of the given sizes, joined with ``sum(combo, ())``."""
+    starts = list(itertools.accumulate(sizes, initial=1))
+    rows = []
+    for template in pattern.templates:
+        pools = [itertools.combinations(range(starts[part - 1], starts[part]), template.count(part))
+                 for part in sorted(set(template))]
+        rows.extend(sum(combo, ()) for combo in itertools.product(*pools))
+    return UniformHypergraph(pattern.r, sum(sizes), rows)
+
+
+def format_hypergraph_reference(G) -> str:
+    """The ``%d`` writer the byte-matrix one replaced: the header, then one
+    line per edge of the canonical edge array."""
+    row = "%d " * (G.r - 1) + "%d\n"
+    return f"{G.r} {G.n} {G.m}\n" + row * G.m % tuple(G.edge_array.ravel().tolist())
+
+
 def reduce_star_reference(M, part):
     """Drop every edge inside ``part``, then add the star edges (a, b, v)
     through its two lowest vertices a < b, for each other member v."""

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hyperlag.closedform import Surd, theorem3_c0
 from hyperlag.constructions import (
@@ -14,6 +15,7 @@ from hyperlag.constructions import (
     SparseAdderParams,
     SparsityCheck,
     assemble_gstar,
+    blow_up_pattern,
     build_b2k,
     build_theorem1_base,
     build_theorem3_pattern,
@@ -28,7 +30,8 @@ from hyperlag.constructions import (
     theorem1_pattern,
 )
 from hyperlag.hypercore import UniformHypergraph, lagrangian_value
-from reference import check_local_sparsity_naive, edges, unconstrained_adder_reference
+from reference import (
+    blow_up_pattern_reference, check_local_sparsity_naive, edges, unconstrained_adder_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +164,23 @@ def test_pattern_edge_count_theorem3(k, ts):
         floors.add(tuple(s - math.floor(w * t) for s, w in zip(sizes, p.part_weights)))
     # the rounding hands the deficit to different parts across these t
     assert len(floors) > 1
+
+
+@st.composite
+def patterns_and_sizes(draw):
+    """A pattern with 1..4 parts, templates that repeat parts, and part sizes
+    0..6, so some templates need more members than their parts have."""
+    r, p = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    template = st.lists(st.integers(1, p), min_size=r, max_size=r).map(lambda t: tuple(sorted(t)))
+    templates = draw(st.lists(template, max_size=8, unique=True))
+    sizes = draw(st.lists(st.integers(0, 6), min_size=p, max_size=p))
+    return PartitionPattern(r, (F(1, p),) * p, templates), sizes
+
+
+@given(patterns_and_sizes())
+def test_blow_up_matches_the_itertools_reference(case):
+    pattern, sizes = case
+    assert blow_up_pattern(pattern, sizes) == blow_up_pattern_reference(pattern, sizes)
 
 
 def test_pattern_edge_count_rejects_undersized_parts():

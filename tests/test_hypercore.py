@@ -3,8 +3,10 @@
 import io
 import itertools
 import random
+import tempfile
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +28,8 @@ from hyperlag.closedform import Surd
 from hyperlag.constructions import PartitionPattern, blow_up_pattern, build_theorem1_base
 from hyperlag.optimize import maximize_lagrangian, quotient, symmetry_reduce, verify_stationarity
 from reference import (
-    brute_link_difference, density, edges, lagrangian_gradient, lagrangian_value_loop,
-    links_reference)
+    brute_link_difference, density, edges, format_hypergraph_reference, lagrangian_gradient,
+    lagrangian_value_loop, links_reference)
 
 
 def complete3(n):
@@ -506,6 +508,56 @@ def test_format_round_trip(tmp_path):
     buf = io.StringIO()
     write_hypergraph(G, buf)
     assert parse_hypergraph(buf.getvalue()) == G
+
+
+class WriteOnly:
+    """A stream target with nothing but ``write``."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+
+def written(G):
+    """What write_hypergraph puts in a file and in a write-only stream."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        write_hypergraph(G, str(path))
+        on_disk = path.read_bytes().decode("ascii")
+    stream = WriteOnly()
+    write_hypergraph(G, stream)
+    return on_disk, "".join(stream.pieces)
+
+
+@st.composite
+def digit_crossing_graphs(draw):
+    """Vertex numbers on both sides of 9/10, 99/100 and 999/1000, r = 2..5,
+    sometimes no edges."""
+    r = draw(st.integers(2, 5))
+    vertex = st.one_of(st.integers(1, 12), st.integers(97, 102), st.integers(997, 1002))
+    edge = st.lists(vertex, min_size=r, max_size=r, unique=True)
+    return UniformHypergraph(r, draw(st.integers(1002, 1010)), draw(st.lists(edge, max_size=12)))
+
+
+@given(digit_crossing_graphs())
+def test_format_matches_the_percent_d_reference(G):
+    text = format_hypergraph(G)
+    assert text == format_hypergraph_reference(G)
+    assert written(G) == (text, text)
+
+
+@pytest.mark.parametrize("G", [
+    UniformHypergraph(3, 10**15, [(1, 10**15 - 1, 10**15), (2, 3, 10**15)]),
+    build_theorem1_base(40),  # 4,928 edges: more than one block of the writer
+], ids=["n=10^15", "t1-base-t40"])
+def test_format_write_and_read_agree(G):
+    text = format_hypergraph(G)
+    # as lists of lines, whose mismatch pytest reports without diffing the whole text
+    assert text.splitlines(True) == format_hypergraph_reference(G).splitlines(True)
+    assert written(G) == (text, text)
+    assert parse_hypergraph(text) == G
 
 
 def test_format_comments_and_layout():

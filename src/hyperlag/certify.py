@@ -191,8 +191,8 @@ def _grid_refine_max(fn: Callable, grad: Callable, dims: int, resolution: int,
                      refine_iters: int) -> tuple[float, np.ndarray]:
     """Maximize fn over the simplex: score every barycentric lattice point,
     keep the ``_REFINE_STARTS`` best by value, ties to the lexicographically
-    smaller point, then run projected ascent from them, as one batch, until a
-    step gains at most 1e-17.
+    smaller point, then run projected ascent from them, as one batch, until
+    each row reaches the float floor or ``refine_iters`` steps.
 
     ``fn`` scores each block of ``_lattice_blocks`` by broadcasting.  ``fn``
     and ``grad`` must be elementwise numpy expressions that broadcast; the
@@ -216,9 +216,11 @@ def _grid_refine_max(fn: Callable, grad: Callable, dims: int, resolution: int,
                                                          for c in cols])])
         order = np.lexsort((*best_pts.T[::-1], -best_vals))[:_REFINE_STARTS]
         best_vals, best_pts = best_vals[order], best_pts[order]
-    X, F, _ = _ascend(lambda P: fn(*P.T),
-                      lambda P: np.column_stack(np.broadcast_arrays(*grad(*P.T))),
-                      best_pts, refine_iters, lambda P, vals, G, gain: gain <= 1e-17)
+
+    def evaluate(P):
+        return fn(*P.T), lambda rows: np.column_stack(np.broadcast_arrays(*grad(*P[rows].T)))
+
+    X, F, _ = _ascend(evaluate, best_pts, refine_iters)
     # a refined point wins only when strictly better; of equal ones, the first
     best = int(np.argmax(F))
     if F[best] > best_vals[0]:

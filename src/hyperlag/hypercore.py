@@ -162,14 +162,15 @@ def _weight_seq(G: UniformHypergraph, x: Weights):
     return w
 
 
-def _row_products(E: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _row_products(E: np.ndarray, x: np.ndarray, cols: list | None = None) -> np.ndarray:
     """The product of x over each row of E (0-based ids), left to right, at a
     point or at each row of a matrix; ``np.take`` keeps C order, so a matrix
-    row multiplies in the same order as a point.  On an object array every
-    product is Python's own ``*``."""
-    prod = np.take(x, E[:, 0], axis=-1)
-    for col in E.T[1:]:
-        prod *= np.take(x, col, axis=-1)
+    row multiplies in the same order as a point.  ``cols``, if given, holds
+    x already gathered at each column of E, read and left unchanged.  On an
+    object array every product is Python's own ``*``."""
+    prod = np.take(x, E[:, 0], axis=-1) if cols is None else cols[0].copy()
+    for c in range(1, E.shape[1]):
+        prod *= np.take(x, E[:, c], axis=-1) if cols is None else cols[c]
     return prod
 
 

@@ -35,6 +35,10 @@ __all__ = [
 
 SUPPORT_EPSILON = 1e-8
 _ARMIJO = 1e-4
+# a gain of at most this times |f| is rounding: the Armijo test cannot tell it from noise
+_FLOAT_FLOOR = 4 * np.finfo(float).eps
+# why an ascent row stopped, as _ascend reports it: the index into this tuple
+STOP_REASONS = ("converged", "float_floor", "max_iters")
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,7 @@ class OptimizationResult:
     support: tuple[int, ...]
     stationarity_residual: float
     starts_converged: int
+    stop_reasons: dict[str, int]  # restarts per STOP_REASONS entry
     converged: bool  # the stationarity residual at argmax is within tolerance
 
 
@@ -99,27 +104,33 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(V - theta[:, None], 0.0).reshape(v.shape)
 
 
-def _value(E: np.ndarray, x: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
+def _value(E: np.ndarray, x: np.ndarray, coef: np.ndarray | None = None,
+           cols: list | None = None) -> np.ndarray:
     """Sum over rows of coef * prod x[row] (coef None: all ones), at a point or
-    at each row of a matrix; numpy's pairwise sum."""
-    prod = _row_products(E, x)
+    at each row of a matrix; numpy's pairwise sum.  ``cols``, if given, holds
+    x already gathered at each column of E."""
+    prod = _row_products(E, x, cols)
     return (prod if coef is None else np.multiply(prod, coef, out=prod)).sum(axis=-1)
 
 
-def _gradient(E: np.ndarray, x: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
+def _gradient(E: np.ndarray, x: np.ndarray, coef: np.ndarray | None = None,
+              cols: list | None = None) -> np.ndarray:
     """Gradient of sum over rows of coef * prod x[row] (coef None: all ones),
     at a point or at each row of a matrix; a repeated entry in a row counts
-    once per occurrence.  The terms go into one flat array, row b at offset b*n."""
+    once per occurrence.  ``cols``, if given, holds x already gathered at
+    each column of E, read and left unchanged.  The terms go into one flat
+    array, row b at offset b*n."""
     n, r = x.shape[-1], E.shape[1]
     grad, offsets = np.zeros(x.size), n * np.arange(x.size // n)[:, None]
     for c in range(r):
         # x_a * coef * x_b * ..., in place: one (rows, edges) array at a time;
         # products commute exactly, so this is coef * x_a * x_b * ...
-        a, *rest = (E[:, c2] for c2 in range(r) if c2 != c)
-        others = np.take(x, a, axis=-1)
-        others = others if coef is None else others * coef
-        for col in rest:
-            others *= np.take(x, col, axis=-1)
+        a, *rest = (c2 for c2 in range(r) if c2 != c)
+        others = np.take(x, E[:, a], axis=-1) if cols is None else cols[a].copy()
+        if coef is not None:
+            others *= coef
+        for b in rest:
+            others *= np.take(x, E[:, b], axis=-1) if cols is None else cols[b]
         np.add.at(grad, (E[:, c] + offsets).ravel(), others.ravel())
     return grad.reshape(x.shape)
 
@@ -131,41 +142,56 @@ def _kkt_residuals(x: np.ndarray, grad: np.ndarray, lam: float, r: int) -> np.nd
     return np.where(x > SUPPORT_EPSILON, np.abs(excess), np.maximum(excess, 0.0))
 
 
-def _ascend(value, gradient, X0: np.ndarray, max_iters: int, done):
+def _ascend(evaluate, X0: np.ndarray, max_iters: int, done=None):
     """Projected gradient ascent on the simplex from every row of X0 at once.
 
-    ``value`` and ``gradient`` map a (B, d) matrix of points to B values and
-    B gradient rows.  Each row halves its own trial step from 1.0 down to
-    1e-13 until the Armijo test accepts its projected point, and counts its
-    own steps, so it ends exactly where an ascent from it alone ends.
-    ``done(X, F, G, gain)`` is the caller's stop rule per row, asked before
-    every step; ``gain`` is what the row's last accepted step added (inf
-    before the first).  Returns the arrays (X, values, done) at each row's
-    stop, when its line search stalls or after ``max_iters`` steps.
+    ``evaluate`` maps a (B, d) matrix of points to their B values and a
+    function of a boolean row mask that gives the gradient rows at the points
+    it selects.  Each row halves its own trial step from 1.0 until the Armijo
+    test accepts its projected point, and counts its own steps, so it ends
+    exactly where an ascent from it alone ends.  A row stops, at the last
+    point it accepted, for the first of these reasons (``STOP_REASONS``):
+
+    - converged: ``done(X, F, G, gain)``, the caller's optional stop rule per
+      row, holds at the start or after an accepted step; ``gain`` is what the
+      row's last accepted step added (inf before the first);
+    - float_floor: an accepted step gained at most 4*eps*|f|, or a trial's
+      predicted gain g.(cand - x) is at most 4*eps*|f(x)|, or its step
+      halved below 1e-13.  Below these, rounding decides the Armijo test, so
+      the trial is neither evaluated nor halved further;
+    - max_iters: after ``max_iters`` accepted steps.
+
+    Returns the arrays (X, values, reasons) at each row's stop, a reason
+    being its index in ``STOP_REASONS``.
     """
     x, B = np.array(X0, dtype=float), len(X0)
-    fx, g, gain, step = value(x), gradient(x), np.full(B, np.inf), np.ones(B)
-    live, iters, ok = np.arange(B), np.zeros(B, dtype=np.int64), np.ones(B, dtype=bool)
-    X, F, D = np.empty_like(x), np.empty_like(fx), np.empty(B, dtype=bool)
+    fx, grad = evaluate(x)
+    ok = np.ones(B, dtype=bool)
+    g, gain, step, iters = grad(ok), np.full(B, np.inf), np.ones(B), np.zeros(B, dtype=np.int64)
+    live, X, F, R = np.arange(B), np.empty_like(x), np.empty_like(fx), np.empty(B, dtype=np.int64)
     while True:
-        # the stop rule counts where a step was accepted or a line search stalled
-        stalled = step <= 1e-13
-        d = done(x, fx, g, gain) if (ok | stalled).any() else ok
-        stop = stalled | ok & (d | (iters == max_iters))
-        if stop.any():
-            X[live[stop]], F[live[stop]], D[live[stop]] = x[stop], fx[stop], d[stop]
-            x, fx, g, gain, step, iters, live = (
-                a[~stop] for a in (x, fx, g, gain, step, iters, live))
-            if not live.size:
-                return X, F, D
         cand = project_to_simplex(x + step[:, None] * g)
-        fc = value(cand)
-        ok = fc >= fx + _ARMIJO * (g[:, None, :] @ (cand - x)[:, :, None])[:, 0, 0]
+        pred = (g[:, None, :] @ (cand - x)[:, :, None])[:, 0, 0]
+        floor = _FLOAT_FLOOR * np.abs(fx)
+        # the caller's rule counts only where a step was just accepted
+        d = ok & done(x, fx, g, gain) if done is not None and ok.any() else np.zeros_like(ok)
+        ended, capped = ok & (gain <= floor), ok & (iters == max_iters)
+        stop = d | ended | capped | (pred <= floor) | (step <= 1e-13)
+        if stop.any():
+            # the first reason that holds, as its index in STOP_REASONS
+            reason = np.where(d, 0, np.where(capped & ~ended, 2, 1))
+            X[live[stop]], F[live[stop]], R[live[stop]] = x[stop], fx[stop], reason[stop]
+            x, fx, g, gain, step, iters, live, cand, pred = (
+                a[~stop] for a in (x, fx, g, gain, step, iters, live, cand, pred))
+            if not live.size:
+                return X, F, R
+        fc, grad = evaluate(cand)
+        ok = fc >= fx + _ARMIJO * pred
         if ok.all():
-            x, fx, gain, g = cand, fc, fc - fx, gradient(cand)
+            x, fx, gain, g = cand, fc, fc - fx, grad(ok)
         elif ok.any():
             x[ok], gain[ok], fx[ok] = cand[ok], fc[ok] - fx[ok], fc[ok]
-            g[ok] = gradient(x[ok])
+            g[ok] = grad(ok)
         iters += ok
         step = np.where(ok, 1.0, step / 2.0)
 
@@ -202,7 +228,9 @@ def maximize_lagrangian(
         raise ValueError("maximization needs at least one vertex")
     if G.m == 0:
         wv = WeightVector.uniform(G.n)
-        return OptimizationResult(0.0, wv, tuple(range(1, G.n + 1)), 0.0, cfg.restarts, True)
+        reasons = dict.fromkeys(STOP_REASONS, 0) | {"converged": cfg.restarts}
+        return OptimizationResult(
+            0.0, wv, tuple(range(1, G.n + 1)), 0.0, cfg.restarts, reasons, True)
 
     T, coef, sizes, owner = quotient(G)
     T = np.asfortranarray(T)  # each column contiguous, for the gathers
@@ -216,9 +244,16 @@ def maximize_lagrangian(
         classes = lambda X: np.bincount(labels[: X.size], X.ravel(), len(X) * k).reshape(-1, k)
         spread = lambda Y: Y[:, owner]
 
-    X, lam, conv = _ascend(
-        lambda X: _value(T, classes(X), coef),
-        lambda X: spread(_gradient(T, classes(X), coef)),
+    def evaluate(X):
+        Y = classes(X)
+        # a lone row keeps its gathered columns for its gradient; a batch
+        # gathers again, so that only one (rows, edges) array lives at a time
+        cols = [np.take(Y, col, axis=-1) for col in T.T] if len(Y) == 1 else None
+        return _value(T, Y, coef, cols), lambda rows: spread(
+            _gradient(T, Y, coef, cols) if rows.all() else _gradient(T, Y[rows], coef))
+
+    X, lam, why = _ascend(
+        evaluate,
         _starting_points(sizes, owner, cfg),
         cfg.max_iters,
         lambda X, F, g, gain: _kkt_residuals(X, g, F[:, None], G.r).max(axis=1) <= cfg.tolerance,
@@ -236,7 +271,8 @@ def maximize_lagrangian(
         argmax=argmax,
         support=supports[pick],
         stationarity_residual=report.residual,
-        starts_converged=int(conv.sum()),
+        starts_converged=int((why == 0).sum()),
+        stop_reasons={name: int((why == i).sum()) for i, name in enumerate(STOP_REASONS)},
         converged=report.passed,
     )
 

@@ -43,6 +43,10 @@ def test_construct_theorem1_then_lagrangian_roundtrip(capsys, tmp_path):
     assert payload["value"] >= 1175 / 25**3 - 1e-9
     assert payload["stationarity_residual"] < 1e-6
     assert payload["converged"] is (payload["stationarity_residual"] <= payload["config"]["tol"])
+    # every restart stops for one reason, and "converged" is starts_converged
+    assert list(payload["stop_reasons"]) == ["converged", "float_floor", "max_iters"]
+    assert sum(payload["stop_reasons"].values()) == payload["config"]["restarts"]
+    assert payload["stop_reasons"]["converged"] == payload["starts_converged"]
 
 
 def test_construct_sparse_passes_checker(capsys, tmp_path):

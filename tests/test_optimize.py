@@ -28,6 +28,7 @@ from hyperlag.hypercore import (
 from hyperlag.optimize import (
     _ARMIJO,
     _LATTICE_CAP,
+    STOP_REASONS,
     OptimizerConfig,
     _ascend,
     _compositions,
@@ -360,6 +361,19 @@ def test_kernels_skip_a_unit_coef_bit_for_bit():
             assert np.array_equal(_gradient(E, x), _gradient(E, x, ones))
 
 
+def test_kernels_read_gathered_columns_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for G in twin_test_graphs():
+        T, coef, sizes, _ = quotient(G)
+        y = rng.dirichlet(np.ones(sizes.size), size=1)
+        cols = [np.take(y, col, axis=-1) for col in T.T]
+        kept = [col.copy() for col in cols]
+        for c in (None, coef):
+            assert _value(T, y, c, cols).tobytes() == _value(T, y, c).tobytes()
+            assert _gradient(T, y, c, cols).tobytes() == _gradient(T, y, c).tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(cols, kept))
+
+
 def test_argmax_is_constant_on_twin_classes():
     for G in (build_theorem1_base(30), instantiate_pattern(build_theorem3_pattern(2), 35)):
         res = maximize_lagrangian(G)
@@ -410,23 +424,29 @@ def project_reference(v):
 
 
 def ascend_reference(value, gradient, x0, max_iters, done):
-    """The one-start Armijo ascent the batched kernel replaced."""
-    x, fx, g, gain = x0, value(x0), gradient(x0), np.inf
-    for _ in range(max_iters):
+    """One start at a time, by the batched kernel's rules: the end point, its
+    value and the index of the stop reason in STOP_REASONS."""
+    floor = 4 * np.finfo(float).eps
+    x, fx, g, gain, iters = x0, value(x0), gradient(x0), np.inf, 0
+    while True:
         if done(x, fx, g, gain):
-            return x, fx, True
+            return x, fx, STOP_REASONS.index("converged")
+        if gain <= floor * abs(fx):
+            return x, fx, STOP_REASONS.index("float_floor")
+        if iters == max_iters:
+            return x, fx, STOP_REASONS.index("max_iters")
         step = 1.0
-        while step > 1e-13:
+        while True:
             cand = project_reference(x + step * g)
+            pred = float(g @ (cand - x))
+            if pred <= floor * abs(fx) or step <= 1e-13:
+                return x, fx, STOP_REASONS.index("float_floor")
             fc = value(cand)
-            if fc >= fx + _ARMIJO * float(g @ (cand - x)):
+            if fc >= fx + _ARMIJO * pred:
                 break
             step /= 2.0
-        else:
-            break
-        x, fx, gain = cand, fc, fc - fx
+        x, fx, gain, iters = cand, fc, fc - fx, iters + 1
         g = gradient(x)
-    return x, fx, done(x, fx, g, gain)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -449,8 +469,8 @@ def test_projection_of_a_matrix_is_the_projection_of_each_row(M):
 
 def test_batched_ascent_rows_are_independent():
     # rows 0 and 1 are done at the start (the maximizer and a value-0
-    # vertex), seeded row 23 stalls below step 1e-13 after 132 steps, the
-    # rest run to max_iters; scaled by 40, steps of 1.0 overshoot, so rows
+    # vertex), seeded row 23 reaches the float floor within 200 steps, most
+    # others run to max_iters; scaled by 40, steps of 1.0 overshoot, so rows
     # halve their steps different numbers of times
     starts = np.vstack([[0.0, 0.4, 0.4, 0.2], [0.0, 0.0, 0.0, 1.0],
                         np.random.default_rng(0).dirichlet(np.ones(4), size=24)])
@@ -459,9 +479,11 @@ def test_batched_ascent_rows_are_independent():
         return _kkt_residuals(X, G, np.asarray(F)[..., None], 3).max(axis=-1) <= 1e-15
 
     def batch(scale, max_iters, X0):
-        return _ascend(lambda X: scale * theorem1_bound_poly(*X.T),
-                       lambda X: scale * np.column_stack(theorem1_bound_gradient(*X.T)),
-                       X0, max_iters, done)
+        def evaluate(X):
+            return scale * theorem1_bound_poly(*X.T), lambda rows: scale * np.column_stack(
+                theorem1_bound_gradient(*X[rows].T))
+
+        return _ascend(evaluate, X0, max_iters, done)
 
     def alone(scale, max_iters, x0):
         return ascend_reference(lambda x: scale * theorem1_bound_poly(*x.tolist()),
@@ -470,18 +492,66 @@ def test_batched_ascent_rows_are_independent():
 
     for scale in (40.0, 1.0):
         for max_iters in (0, 1, 200):
-            X, F, D = batch(scale, max_iters, starts)
-            assert X.shape == starts.shape and F.shape == D.shape == (len(starts),)
+            X, F, R = batch(scale, max_iters, starts)
+            assert X.shape == starts.shape and F.shape == R.shape == (len(starts),)
             for i, x0 in enumerate(starts):
-                x, fx, d = alone(scale, max_iters, x0)
-                assert X[i].tobytes() == x.tobytes() and F[i] == fx and D[i] == d
+                x, fx, why = alone(scale, max_iters, x0)
+                assert X[i].tobytes() == x.tobytes() and F[i] == fx and R[i] == why
                 one = batch(scale, max_iters, starts[i:i + 1])
                 assert one[0].tobytes() == X[i:i + 1].tobytes()
-                assert one[1][0] == F[i] and one[2][0] == D[i]
-    assert D[:2].all()
-    # the stall ends before max_iters: doubling the budget changes nothing
-    x, fx, d = alone(1.0, 400, starts[23])
-    assert not D[23] and not d and x.tobytes() == X[23].tobytes() and fx == F[23]
+                assert one[1][0] == F[i] and one[2][0] == R[i]
+    reasons = [STOP_REASONS[why] for why in R]
+    assert reasons[:2] == ["converged"] * 2 and reasons[23] == "float_floor"
+    assert "max_iters" in reasons
+    # the floor ends the row before max_iters: doubling the budget changes nothing
+    x, fx, why = alone(1.0, 400, starts[23])
+    assert STOP_REASONS[why] == "float_floor" and x.tobytes() == X[23].tobytes() and fx == F[23]
+
+
+def test_a_constant_objective_stops_after_one_trial():
+    # a zero gradient predicts no gain, so the row ends at the float floor
+    # without evaluating its trial, and no caller rule is needed
+    calls, X0 = [], np.array([[0.5, 0.25, 0.25], [0.0, 0.0, 1.0]])
+
+    def evaluate(X):
+        calls.append(len(X))
+        return np.full(len(X), 0.5), lambda rows: np.zeros((int(rows.sum()), 3))
+
+    X, F, R = _ascend(evaluate, X0, 500)
+    assert calls == [2]
+    assert np.array_equal(X, X0) and (F == 0.5).all()
+    assert (R == STOP_REASONS.index("float_floor")).all()
+
+
+def count_calls(monkeypatch, name):
+    import hyperlag.optimize as optimize
+
+    calls, inner = [], getattr(optimize, name)
+    monkeypatch.setattr(optimize, name, lambda *a, **k: calls.append(1) or inner(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_rows_at_the_float_floor_stop(monkeypatch, seed):
+    # a kernel that accepts steps on rounding noise runs these rows on to
+    # max_iters: 13,902 batch value calls at seeds 0 and 3
+    calls = count_calls(monkeypatch, "_value")
+    res = maximize_lagrangian(build_theorem1_base(20), OptimizerConfig(seed=seed))
+    assert len(calls) < 1000
+    assert res.stop_reasons["max_iters"] == 0
+    assert sum(res.stop_reasons.values()) == 12
+    assert res.stop_reasons["converged"] == res.starts_converged
+
+
+def test_a_stalled_line_search_costs_no_halvings(monkeypatch):
+    # a line search that halves down to step 1e-13 at the floor makes 16,135
+    # projections on this twin-free graph, about 31 per accepted step
+    calls = count_calls(monkeypatch, "project_to_simplex")
+    triples = list(itertools.combinations(range(1, 61), 3))
+    G = UniformHypergraph(3, 60, random.Random("6:60:10000").sample(triples, 10_000))
+    res = maximize_lagrangian(G, OptimizerConfig(seed=6))
+    assert len(calls) < 200
+    assert res.support == (18, 25, 36, 38, 43, 46)
 
 
 def test_lattice_chunking_matches_dense():

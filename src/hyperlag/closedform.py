@@ -5,8 +5,8 @@ Three value types live here: stdlib ``Fraction`` rationals, quadratic surds
 polynomials with rational coefficients.
 On top of them sit the formulas the certification pipelines need: the
 irrational bound family ``alpha_k``, its maximizer ``a*``, the limit
-objective ``f_b2k`` of the B(2k, n) family, the bound polynomial and cubic
-case analysis for the 2/25 certificate, and the monotone-chain checks for
+objective ``f_b2k`` of the B(2k, n) family, the bound polynomial and the
+interior quartic for the 2/25 certificate, and the monotone-chain checks for
 the alpha_k/6 certificate.
 
 Everything is pure and exact.  Floats appear only when a caller asks for
@@ -42,7 +42,6 @@ __all__ = [
     "theorem1_bound_poly",
     "theorem1_bound_gradient",
     "theorem3_bound_gradient",
-    "theorem1_d0_cubic_poly",
     "verify_theorem1_quartic_identity",
     "theorem3_bound",
     "theorem3_t_poly",
@@ -529,12 +528,6 @@ def theorem1_bound_gradient(a, b, c, d):
     gc = a * a / 4 + a * b + b * b / 2 + (a + b) * d + c * d
     gd = (a + b) * c + c * c / 2
     return ga, gb, gc, gd
-
-
-def theorem1_d0_cubic_poly() -> RationalPolynomial:
-    """The d = 0 case objective after eliminating a = 2 - 4b and c = 3b - 1:
-    11 b^3 / 2 - 21 b^2 / 2 + 6 b - 1."""
-    return RationalPolynomial((Fraction(-1), Fraction(6), Fraction(-21, 2), Fraction(11, 2)))
 
 
 def _t1_kkt_c_from_b(b: Fraction) -> Fraction:

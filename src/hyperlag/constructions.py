@@ -1,12 +1,13 @@
 """Hypergraph families feeding the certification pipelines.
 
-Four kinds of object are built here: the apex family B(2k, n) whose limit
-Lagrangian is alpha_k/6; weighted multipartite edge patterns (three parts
-with rational weights for the 2/25 bound, 2k+1 parts with exact surd
-weights for the alpha_k/6 bound) together with an integer instantiation
-policy; locally sparse "adder" hypergraphs that raise the Lagrangian of a
-base construction without creating dense small subgraphs; and the assembly
-that injects an adder into one part of a base.
+Every family is a weighted multipartite edge pattern blown up to part
+sizes: three parts with rational weights for the 2/25 bound, 2k+1 parts
+with exact surd weights for the alpha_k/6 bound, and the apex family
+B(2k, n), whose limit Lagrangian is alpha_k/6, as the same 2k+1 templates
+at its own limit weights.  Beside them sit an integer instantiation policy,
+locally sparse "adder" hypergraphs that raise the Lagrangian of a base
+construction without creating dense small subgraphs, and the assembly that
+injects an adder into one part of a base.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .closedform import Surd
+from .closedform import Surd, astar_weight
 from .hypercore import UniformHypergraph
 
 __all__ = [
@@ -29,10 +30,10 @@ __all__ = [
     "SparseAdderParams",
     "SparsityCheck",
     "AdderGenerationError",
+    "b2k_pattern",
     "build_b2k",
     "build_theorem1_base",
     "theorem1_pattern",
-    "theorem1_parts",
     "build_theorem3_pattern",
     "blow_up_pattern",
     "instantiate_pattern",
@@ -138,14 +139,34 @@ class SparsityCheck:
 # Families
 # ---------------------------------------------------------------------------
 
+def _apex_templates(k: int) -> tuple[tuple[int, ...], ...]:
+    """Every triple of the 2k + 1 parts that meets the first 2k, with apex
+    part 2k + 1: the transversal triples of the first block, every pair of
+    them joined with the apex, and each of them with a pair inside the apex."""
+    first, apex = range(1, 2 * k + 1), 2 * k + 1
+    return (*itertools.combinations(first, 3),
+            *((i, j, apex) for i, j in itertools.combinations(first, 2)),
+            *((i, apex, apex) for i in first))
+
+
+def b2k_pattern(k: int) -> PartitionPattern:
+    """The apex templates at the limit weights of B(2k, n): a*/2k on each
+    first-block part and 1 - a* on the apex, a* = ``astar_weight(k)``, k >= 1."""
+    a = astar_weight(k)
+    return PartitionPattern(r=3, part_weights=(a / (2 * k),) * (2 * k) + (1 - a,),
+                            templates=_apex_templates(k))
+
+
 def build_b2k(k: int, n: int) -> UniformHypergraph:
-    """All triples on 1..n meeting {1..2k}; edge count C(n,3) - C(n-2k,3)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    """All triples on 1..n meeting {1..2k}; edge count C(n,3) - C(n-2k,3).
+
+    The blow-up of ``b2k_pattern(k)`` with one vertex in each first-block
+    part and the other n - 2k in the apex; when n < 2k the parts past n are
+    empty, their templates drop, and every triple on 1..n is an edge."""
+    pattern = b2k_pattern(k)
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    edges = [e for e in itertools.combinations(range(1, n + 1), 3) if e[0] <= 2 * k]
-    return UniformHypergraph(3, n, edges)
+    return blow_up_pattern(pattern, [int(i < n) for i in range(2 * k)] + [max(n - 2 * k, 0)])
 
 
 def theorem1_pattern() -> PartitionPattern:
@@ -155,12 +176,6 @@ def theorem1_pattern() -> PartitionPattern:
         part_weights=(Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)),
         templates=((1, 1, 2), (1, 2, 3), (2, 2, 3)),
     )
-
-
-def theorem1_parts(t: int) -> list[tuple[int, int]]:
-    """Block boundaries of the three parts in build_theorem1_base(t)."""
-    _require_mult_of_5(t)
-    return pattern_parts(theorem1_pattern(), t)
 
 
 def _require_mult_of_5(t: int) -> None:
@@ -179,23 +194,18 @@ def build_theorem1_base(t: int) -> UniformHypergraph:
 
 
 def build_theorem3_pattern(k: int) -> PartitionPattern:
-    """2k parts of exact weight (2k+1 - sqrt(4k-1))/(4k^2+2) and one apex part
-    of weight (k sqrt(4k-1) + 1 - k)/(2k^2+1).
-
-    Templates: all transversal triples among the first 2k parts, every pair
-    of them joined with the apex, and every first-block part joined with a
-    pair inside the apex.  The weights sum to 1 exactly in surd arithmetic.
-    """
+    """The apex templates with 2k parts of exact weight
+    (2k+1 - sqrt(4k-1))/(4k^2+2) and the apex part of weight
+    (k sqrt(4k-1) + 1 - k)/(2k^2+1); the weights sum to 1 exactly in surd
+    arithmetic."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     root = Surd.sqrt(4 * k - 1)
     den = 4 * k * k + 2
     small = Fraction(2 * k + 1, den) - Fraction(1, den) * root
     apex = Fraction(1 - k, 2 * k * k + 1) + Fraction(k, 2 * k * k + 1) * root
-    templates = [tuple(t) for t in itertools.combinations(range(1, 2 * k + 1), 3)]
-    templates += [(i, j, 2 * k + 1) for i, j in itertools.combinations(range(1, 2 * k + 1), 2)]
-    templates += [(i, 2 * k + 1, 2 * k + 1) for i in range(1, 2 * k + 1)]
-    return PartitionPattern(r=3, part_weights=(small,) * (2 * k) + (apex,), templates=tuple(templates))
+    return PartitionPattern(r=3, part_weights=(small,) * (2 * k) + (apex,),
+                            templates=_apex_templates(k))
 
 
 def pattern_part_sizes(pattern: PartitionPattern, t: int) -> list[int]:
@@ -241,6 +251,15 @@ def _require_fit(pattern: PartitionPattern, sizes: Sequence[int]) -> None:
                 )
 
 
+def _template_shapes(pattern: PartitionPattern, sizes: Sequence[int]):
+    """The demand of every template the part sizes can fill, and the shape
+    of its edge block: C(part size, multiplicity) along each named part.  A
+    template some part is too small to fill adds no edges; skipping it keeps
+    every shape free of zeros."""
+    demands = [d for d in map(_demand, pattern.templates) if all(sizes[p - 1] >= k for p, k in d)]
+    return demands, [tuple(math.comb(sizes[part - 1], need) for part, need in d) for d in demands]
+
+
 def blow_up_pattern(pattern: PartitionPattern, sizes: Sequence[int]) -> UniformHypergraph:
     """Expand every template over consecutive parts of the given sizes; the
     graph has sum(sizes) vertices, and a template naming a part more often
@@ -252,9 +271,7 @@ def blow_up_pattern(pattern: PartitionPattern, sizes: Sequence[int]) -> UniformH
     if len(sizes) != pattern.num_parts:
         raise ValueError(f"{len(sizes)} part sizes for {pattern.num_parts} parts")
     members = [range(lo, hi + 1) for lo, hi in _blocks(sizes)]
-    # a template some part is too small to fill adds no edges; skipping it keeps tables nonempty
-    demands = [d for d in map(_demand, pattern.templates) if all(sizes[p - 1] >= k for p, k in d)]
-    counts = [tuple(math.comb(sizes[part - 1], need) for part, need in d) for d in demands]
+    demands, counts = _template_shapes(pattern, sizes)
     E = np.empty((sum(map(math.prod, counts)), pattern.r), dtype=np.int64)
     tables: dict[tuple[int, int], np.ndarray] = {}
     row = 0
@@ -287,10 +304,7 @@ def pattern_edge_count(pattern: PartitionPattern, t: int) -> int:
     ValueError as instantiate_pattern when a part is too small."""
     sizes = pattern_part_sizes(pattern, t)
     _require_fit(pattern, sizes)
-    return sum(
-        math.prod(math.comb(sizes[part - 1], need) for part, need in _demand(template))
-        for template in pattern.templates
-    )
+    return sum(map(math.prod, _template_shapes(pattern, sizes)[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,13 @@ def blow_up_pattern_reference(pattern, sizes) -> UniformHypergraph:
     return UniformHypergraph(pattern.r, sum(sizes), rows)
 
 
+def build_b2k_reference(k: int, n: int) -> UniformHypergraph:
+    """The filter B(2k, n) replaced: every triple on 1..n whose least vertex
+    is at most 2k."""
+    return UniformHypergraph(3, n, [e for e in itertools.combinations(range(1, n + 1), 3)
+                                    if e[0] <= 2 * k])
+
+
 def format_hypergraph_reference(G) -> str:
     """The ``%d`` writer the byte-matrix one replaced: the header, then one
     line per edge of the canonical edge array."""

@@ -151,6 +151,7 @@ MISSING = "missing/out.txt"
     (("alpha",), "the following arguments are required: --k"),
     (("certify", "t9"), "invalid choice: 't9'"),
     (("alpha", "--k", "x"), "invalid int value: 'x'"),
+    (("construct", "theorem1", "--t", "25", "--k", "5"), "takes no k"),
 ])
 def test_input_errors_exit_1(capsys, tmp_path, argv, problem):
     argv = [str(tmp_path / a) if a == MISSING else a for a in argv]

@@ -22,7 +22,6 @@ from hyperlag.closedform import (
     square_free_split,
     theorem1_bound_gradient,
     theorem1_bound_poly,
-    theorem1_d0_cubic_poly,
     theorem3_bound,
     theorem3_bound_chain,
     theorem3_bound_gradient,
@@ -46,6 +45,12 @@ def f_b2k_prime_reference(k):
     """The derivative of the B(2k, n) limit objective, stated independently:
     (1/4k^2 + 1/2) a^2 - (1/2k + 1) a + 1/2."""
     return RationalPolynomial((F(1, 2), -(F(1, 2 * k) + 1), F(1, 4 * k * k) + F(1, 2)))
+
+
+def d0_cubic_reference():
+    """The d = 0 case objective after eliminating a = 2 - 4b and c = 3b - 1,
+    stated independently: 11 b^3 / 2 - 21 b^2 / 2 + 6 b - 1."""
+    return RationalPolynomial((F(-1), F(6), F(-21, 2), F(11, 2)))
 
 
 def gprime_reference(k):
@@ -260,7 +265,7 @@ def test_bound_poly_rejects_off_simplex():
 def test_bound_polynomials_substitute_polynomial_coordinates():
     # the c = 0 edge, and the d = 0 cubic after a = 2 - 4b, c = 3b - 1
     assert theorem1_bound_poly(X, 1 - X, F(0), F(0)) == RationalPolynomial((0, 0, F(1, 4), F(-1, 4)))
-    assert theorem1_bound_poly(2 - 4 * X, X, 3 * X - 1, F(0)) == theorem1_d0_cubic_poly()
+    assert theorem1_bound_poly(2 - 4 * X, X, 3 * X - 1, F(0)) == d0_cubic_reference()
     for k in (2, 3):
         sub = theorem3_bound(X, F(1, 5), k)
         for w in (F(0), F(1, 4), F(3, 5)):
@@ -340,7 +345,7 @@ def test_check_simplex_rejects_nan(coord, row):
 
 
 def test_d0_cubic_values():
-    cubic = theorem1_d0_cubic_poly()
+    cubic = d0_cubic_reference()
     assert cubic(F(1, 3)) == F(1, 27)
     assert cubic(F(1, 2)) == F(1, 16)
     bstar, peak = cubic.peak(F(1, 3), F(1, 2))

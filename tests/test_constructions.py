@@ -8,13 +8,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperlag.closedform import Surd, theorem3_c0
+from hyperlag.closedform import (
+    RationalPolynomial, Surd, alpha_k, astar_weight, f_b2k_poly, theorem3_c0)
 from hyperlag.constructions import (
     AdderGenerationError,
     PartitionPattern,
     SparseAdderParams,
     SparsityCheck,
     assemble_gstar,
+    b2k_pattern,
     blow_up_pattern,
     build_b2k,
     build_theorem1_base,
@@ -26,12 +28,14 @@ from hyperlag.constructions import (
     pattern_edge_count,
     pattern_part_sizes,
     pattern_parts,
-    theorem1_parts,
     theorem1_pattern,
 )
 from hyperlag.hypercore import UniformHypergraph, lagrangian_value
 from reference import (
-    blow_up_pattern_reference, check_local_sparsity_naive, edges, unconstrained_adder_reference)
+    blow_up_pattern_reference, build_b2k_reference, check_local_sparsity_naive, edges,
+    unconstrained_adder_reference)
+
+X = RationalPolynomial((0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +54,35 @@ def test_b2k_count_identity():
             assert build_b2k(k, n).m == expected
     with pytest.raises(ValueError):
         build_b2k(1, 2)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_b2k_blow_up_matches_the_triple_filter(k):
+    # n < 2k leaves first-block parts empty: every triple on 1..n is an edge
+    for n in range(3, 16):
+        assert build_b2k(k, n) == build_b2k_reference(k, n)
+
+
+def limit_polynomial(pattern, weights):
+    """The pattern's Lagrangian in the limit of large parts, sum over
+    templates T of prod x_p^m_p / m_p!, at the given part weights."""
+    total = 0
+    for template in pattern.templates:
+        term = 1
+        for part in set(template):
+            need = template.count(part)
+            term = term * weights[part - 1] ** need / math.factorial(need)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 5))
+def test_b2k_pattern_limit_is_f_b2k(k):
+    # the first block of total weight X split evenly over its 2k parts
+    assert limit_polynomial(b2k_pattern(k), (X / (2 * k),) * (2 * k) + (1 - X,)) == f_b2k_poly(k)
+    # its own weights sit at the peak a* = astar_weight(k)
+    weights = b2k_pattern(k).part_weights
+    assert sum(weights[:-1], start=Surd(F(0))) == astar_weight(k) == 1 - weights[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +109,7 @@ def test_theorem1_uniform_weight_value():
 def test_theorem1_pattern_matches_direct_build():
     for t in (10, 25):
         assert instantiate_pattern(theorem1_pattern(), t) == build_theorem1_base(t)
-    assert theorem1_parts(25) == [(1, 10), (11, 20), (21, 25)]
+    assert pattern_parts(theorem1_pattern(), 25) == [(1, 10), (11, 20), (21, 25)]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +394,7 @@ def test_generate_failure_advises_larger_t():
 
 def test_assemble_gstar_counts():
     base = build_theorem1_base(25)
-    lo, hi = theorem1_parts(25)[0]
+    lo, hi = pattern_parts(theorem1_pattern(), 25)[0]
     v1 = list(range(lo, hi + 1))
     adder = UniformHypergraph(3, 10, list(itertools.combinations(range(1, 11), 3))[:100])
     G = assemble_gstar(base, adder, v1)
@@ -391,9 +424,44 @@ def test_assemble_gstar_names_the_smallest_clash():
 
 
 def test_metadata_fixed_fields():
-    meta = construction_metadata("theorem1", t=25, parts=theorem1_parts(25))
+    meta = construction_metadata("theorem1", t=25, parts=pattern_parts(theorem1_pattern(), 25))
     assert list(meta) == ["kind", "k", "t", "s", "c", "seed", "parts"]
     assert meta["parts"] == [[1, 10], [11, 20], [21, 25]]
+
+
+def times(p, q):
+    """The product of two coefficient lists, lowest power first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def edge_count_coefficients(pattern):
+    """Coefficients in t, lowest first, of sum_T prod_p C(w_p t, m_p): the
+    edge count at real part sizes w_p t, exact in the weights' arithmetic."""
+    total = [0] * (pattern.r + 1)
+    for template in pattern.templates:
+        term = [1]
+        for part in set(template):
+            need, w = template.count(part), pattern.part_weights[part - 1]
+            falling = math.prod((X - j for j in range(need)), start=RationalPolynomial((1,)))
+            binomial = falling / math.factorial(need)
+            term = times(term, [c * math.prod((w,) * j) for j, c in enumerate(binomial.coeffs)])
+        total = [a + b for a, b in zip(total, term)]
+    return total
+
+
+@pytest.mark.parametrize("k", [None, *range(2, 7)])
+def test_edge_count_leads_with_the_constant_and_its_shortfall(k):
+    # t1 counts exactly 2t^3/25 - 3t^2/25; t3 has alpha_k/6 and theorem3_c0(k)
+    if k is None:
+        pattern, constant, shortfall = theorem1_pattern(), F(2, 25), F(3, 25)
+    else:
+        pattern, constant, shortfall = build_theorem3_pattern(k), alpha_k(k) / 6, theorem3_c0(k)
+    coeffs = edge_count_coefficients(pattern)
+    assert coeffs[3] == constant and -coeffs[2] == shortfall
 
 
 def test_c0_positive_for_small_k():

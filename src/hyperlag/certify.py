@@ -6,7 +6,9 @@ arithmetic end to end; b=0 by an exact majorization onto a=0), the interior
 closes through the expanded stationarity quartic, and a grid-plus-refinement
 search over the whole simplex confirms where the maximum sits.  The
 alpha_k/6 certificate combines exact early-case collapses, the exact
-monotone chain, and the analogous numeric search.
+monotone chain, and the analogous numeric search.  Each search scores and
+ascends the one bound polynomial its exact cases prove: the ascent takes
+its partial derivatives by the complex step.
 
 Policy throughout: a numeric search is never the bound of record on its
 own; every "<=" that matters is paired with an exact case analysis.
@@ -26,11 +28,9 @@ from .closedform import (
     alpha_k,
     astar_weight,
     f_b2k_poly,
-    theorem1_bound_gradient,
     theorem1_bound_poly,
     theorem3_bound,
     theorem3_bound_chain,
-    theorem3_bound_gradient,
     theorem3_c0,
     verify_theorem1_quartic_identity,
 )
@@ -186,16 +186,29 @@ def _lattice_blocks(dims: int, resolution: int):
         yield v[:s + 1, None], v[s::-1, None], v[:rest + 1], v[rest::-1]
 
 
-def _grid_refine_max(fn: Callable, grad: Callable, dims: int, resolution: int,
+def _partials(fn: Callable, P: np.ndarray) -> np.ndarray:
+    """Every partial derivative of ``fn`` at each row of P, by the complex
+    step: coordinate i is a (dims, B) column whose row j is P moved by the
+    imaginary step h*1j along e_j, so one call differentiates along every
+    axis, and the imaginary part over h is the derivative.  Every term in
+    h^2 underflows to 0 and h is a power of two, so for a formula built from
+    +, - and * each partial is exact to rounding."""
+    h = 2.0 ** -600
+    cols = P.T[:, None] + h * 1j * np.eye(P.shape[1])[:, :, None]
+    return fn(*cols).imag.T / h
+
+
+def _grid_refine_max(fn: Callable, dims: int, resolution: int,
                      refine_iters: int) -> tuple[float, np.ndarray]:
     """Maximize fn over the simplex: score every barycentric lattice point,
     keep the ``_REFINE_STARTS`` best by value, ties to the lexicographically
     smaller point, then run projected ascent from them, as one batch, until
     each row reaches the float floor or ``refine_iters`` steps.
 
-    ``fn`` scores each block of ``_lattice_blocks`` by broadcasting.  ``fn``
-    and ``grad`` must be elementwise numpy expressions that broadcast; the
-    ascent passes them one column per coordinate, one point per row."""
+    ``fn`` must be an elementwise numpy expression that broadcasts and takes
+    complex columns: it scores each block of ``_lattice_blocks``, and the
+    ascent passes it one column per coordinate, one point per row, and
+    reads its gradient off ``_partials``."""
     if refine_iters < 0:
         raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
     best_vals, best_pts = np.empty(0), np.empty((0, dims))
@@ -217,7 +230,7 @@ def _grid_refine_max(fn: Callable, grad: Callable, dims: int, resolution: int,
         best_vals, best_pts = best_vals[order], best_pts[order]
 
     def evaluate(P):
-        return fn(*P.T), lambda rows: np.column_stack(np.broadcast_arrays(*grad(*P[rows].T)))
+        return fn(*P.T), lambda rows: _partials(fn, P[rows])
 
     X, F, _ = _ascend(evaluate, best_pts, refine_iters)
     # a refined point wins only when strictly better; of equal ones, the first
@@ -319,9 +332,7 @@ def _case_interior() -> CaseVerdict:
 
 
 def _case_t1_global(resolution: int, refine_iters: int) -> CaseVerdict:
-    found, pt = _grid_refine_max(
-        theorem1_bound_poly, theorem1_bound_gradient, 4, resolution, refine_iters
-    )
+    found, pt = _grid_refine_max(theorem1_bound_poly, 4, resolution, refine_iters)
     target = np.array([0.0, 0.4, 0.4, 0.2])
     close = float(np.abs(pt - target).max())
     ok = found <= float(T1_CONSTANT) + _T1_TOL and close <= 1e-4
@@ -428,16 +439,11 @@ def certify_theorem3(
     profile_s: int | None = None,
 ) -> CertificateReport:
     """Certify that the (2k+1)-part bound function stays at or below alpha_k/6."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _, _, target = family("t3", k)
     _require_grid(grid_resolution, 3)
     _require_profile_budget(profile_s)
-    target = alpha_k(k) / 6
     found, pt = _grid_refine_max(
-        lambda w, a, b: theorem3_bound(w, a, k),
-        lambda w, a, b: (*theorem3_bound_gradient(w, a, k), 0.0),
-        3, grid_resolution, refine_iters,
-    )
+        lambda w, a, b: theorem3_bound(w, a, k), 3, grid_resolution, refine_iters)
     global_ok = found <= float(target) + _T3_TOL
     global_case = CaseVerdict(
         "global", target, found, "grid+refine", global_ok,

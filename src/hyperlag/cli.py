@@ -118,10 +118,11 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    # a missing option is named as construct names it; any other k goes
+    # through the one rule construct and density-gain apply
     if args.theorem == "t3" and args.k is None:
         raise ValueError("certify t3 needs --k")
-    if args.theorem == "t1" and args.k is not None:
-        raise ValueError("certify t1 takes no --k")
+    certify.family(args.theorem, args.k)
     # options left out keep the library's defaults
     given = {"grid_resolution": args.grid, "refine_iters": args.refine_iters}
     options = {name: value for name, value in given.items() if value is not None}

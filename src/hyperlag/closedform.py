@@ -12,8 +12,9 @@ the alpha_k/6 certificate.
 Everything is pure and exact.  Floats appear only when a caller asks for
 them explicitly; every comparison and identity on the exact path is decided
 in integer arithmetic.  The bound polynomials take Fractions, floats or
-numpy columns alike, so the numeric searches evaluate the same formulas the
-exact cases prove.
+numpy columns, real or complex, alike, so the numeric searches evaluate and
+differentiate (by the complex step) the same formulas the exact cases prove;
+no gradient is written by hand.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ __all__ = [
     "f_b2k_poly",
     "f_b2k_numeric_max",
     "theorem1_bound_poly",
-    "theorem1_bound_gradient",
-    "theorem3_bound_gradient",
     "verify_theorem1_quartic_identity",
     "theorem3_bound",
     "theorem3_t_poly",
@@ -492,6 +491,8 @@ def _check_simplex(values, label: str) -> None:
             raise ValueError(f"{label}: coordinates do not sum to 1 identically")
         return
     if first is not None:
+        # a complex-step point is checked as the real point it moves
+        values = [np.real(v) for v in values]
         low = float(min(np.min(v) for v in values))
         # left to right: on broadcast blocks only the sums from the first
         # full-size column on run at full size
@@ -517,17 +518,6 @@ def theorem1_bound_poly(a, b, c, d):
     """
     _check_simplex((a, b, c, d), "theorem1_bound_poly")
     return (a * a / 4 + a * b + b * b / 2) * c + (a + b) * c * d + c * c * d / 2 + a * a / 4 * b
-
-
-def theorem1_bound_gradient(a, b, c, d):
-    """Partial derivatives of the bound polynomial in (a, b, c, d), for the
-    numeric grid+refine ascent only; the exact cases differentiate
-    substitutions into ``theorem1_bound_poly`` instead."""
-    ga = (a / 2 + b) * c + c * d + a * b / 2
-    gb = (a + b) * c + c * d + a * a / 4
-    gc = a * a / 4 + a * b + b * b / 2 + (a + b) * d + c * d
-    gd = (a + b) * c + c * c / 2
-    return ga, gb, gc, gd
 
 
 def _t1_kkt_c_from_b(b: Fraction) -> Fraction:
@@ -596,22 +586,6 @@ def theorem3_bound(w, a, k: int):
     b = 1 - w - a
     t = theorem3_t_poly(k)(w)
     return t + w * (a * a / 4 + a * b + b * b / 2) + a * a / 4 * b
-
-
-def theorem3_bound_gradient(w, a, k: int):
-    """Partial derivatives of ``theorem3_bound`` in w and a, with b = 1 - w - a
-    eliminated: each is the three-variable partial minus the b-partial.  For
-    the numeric grid+refine ascent only; the exact chain differentiates
-    substitutions into ``theorem3_bound`` instead."""
-    b = 1 - w - a
-    gw = _theorem3_t_prime_poly(k)(w) + a * b + b * b / 2 - w * (a + b)
-    ga = a * (b - w) / 2 - a * a / 4
-    return gw, ga
-
-
-@lru_cache(maxsize=None)
-def _theorem3_t_prime_poly(k: int) -> RationalPolynomial:
-    return theorem3_t_poly(k).derivative()
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -149,6 +149,7 @@ def _apex_templates(k: int) -> tuple[tuple[int, ...], ...]:
             *((i, apex, apex) for i in first))
 
 
+@lru_cache(maxsize=None)
 def b2k_pattern(k: int) -> PartitionPattern:
     """The apex templates at the limit weights of B(2k, n): a*/2k on each
     first-block part and 1 - a* on the apex, a* = ``astar_weight(k)``, k >= 1."""
@@ -194,23 +195,24 @@ def build_theorem1_base(t: int) -> UniformHypergraph:
 
 
 def build_theorem3_pattern(k: int) -> PartitionPattern:
-    """The apex templates with 2k parts of exact weight
-    (2k+1 - sqrt(4k-1))/(4k^2+2) and the apex part of weight
-    (k sqrt(4k-1) + 1 - k)/(2k^2+1); the weights sum to 1 exactly in surd
-    arithmetic."""
+    """The (2k+1)-part pattern of the alpha_k/6 bound, k >= 2: ``b2k_pattern(k)``,
+    2k parts of exact weight (2k+1 - sqrt(4k-1))/(4k^2+2) and the apex part
+    of weight (k sqrt(4k-1) + 1 - k)/(2k^2+1)."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    root = Surd.sqrt(4 * k - 1)
-    den = 4 * k * k + 2
-    small = Fraction(2 * k + 1, den) - Fraction(1, den) * root
-    apex = Fraction(1 - k, 2 * k * k + 1) + Fraction(k, 2 * k * k + 1) * root
-    return PartitionPattern(r=3, part_weights=(small,) * (2 * k) + (apex,),
-                            templates=_apex_templates(k))
+    return b2k_pattern(k)
 
 
 def pattern_part_sizes(pattern: PartitionPattern, t: int) -> list[int]:
     """Integer part sizes for t vertices: floors of w_i * t, with the deficit
-    handed out by largest fractional remainder (ties to the lowest index)."""
+    handed out by largest fractional remainder (ties to the lowest index).
+    Computed once per (pattern, t); each call returns a fresh list."""
+    return list(_part_sizes(pattern, t))
+
+
+# the construct paths ask for the same sizes twice, and the Surd floors dominate
+@lru_cache(maxsize=32)
+def _part_sizes(pattern: PartitionPattern, t: int) -> tuple[int, ...]:
     if t < pattern.num_parts:
         raise ValueError(f"t = {t} is below the number of parts {pattern.num_parts}")
     scaled = [w * t for w in pattern.part_weights]
@@ -221,7 +223,7 @@ def pattern_part_sizes(pattern: PartitionPattern, t: int) -> list[int]:
     sizes = list(floors)
     for i in by_remainder[:deficit]:
         sizes[i] += 1
-    return sizes
+    return tuple(sizes)
 
 
 def pattern_parts(pattern: PartitionPattern, t: int) -> list[tuple[int, int]]:

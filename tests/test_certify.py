@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -182,6 +183,32 @@ def test_certify_theorem1_b0_reads_the_bound_polynomial(monkeypatch):
     by_name = {c.case_name: c for c in rep.cases}
     assert not by_name["b=0"].passed
     assert not rep.overall
+
+
+def test_certify_theorem1_ascent_climbs_the_polynomial_it_scores(monkeypatch):
+    # tilted by (b - c) d / 1000, the polynomial peaks at 0.08000029654768
+    # (grid 200, refine 2,000); an ascent along the untilted gradient stalls
+    # at 0.0800002772
+    def tilted(a, b, c, d):
+        return theorem1_bound_poly(a, b, c, d) + (b - c) * d / 1000
+
+    monkeypatch.setattr(certify, "theorem1_bound_poly", tilted)
+    by_name = {c.case_name: c for c in certify_theorem1(20, 200).cases}
+    assert by_name["global"].bound_found > 0.0800002965
+
+
+def test_certificates_cast_no_complex_value_to_float():
+    # the complex-step partials go through the simplex check and the ascent;
+    # a cast that drops an imaginary part warns, and here fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert certify_theorem1(40, 20).overall and certify_theorem3(2, 40, 20).overall
+    # the check reads the real point a complex-step point moves
+    step = 2.0 ** -600 * 1j
+    cols = np.array([[0.25, -0.25], [0.25, 0.5], [0.25, 0.5], [0.25, 0.25]]) + step
+    with pytest.raises(ValueError, match="negative"):
+        theorem1_bound_poly(*cols)
+    assert theorem1_bound_poly(*cols[:, :1]).imag.all()
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +457,8 @@ def test_profiles_t3_all_singletons():
 
 def _integer_cubic(dims, seed):
     """A cubic with small random integer coefficients, as a broadcasting
-    elementwise expression, and its gradient: (p.x)(q.x)(u.x) + sum c_i x_i^3.
-    It is symmetric in its first two coordinates, so grid values tie."""
+    elementwise expression: (p.x)(q.x)(u.x) + sum c_i x_i^3.  It is
+    symmetric in its first two coordinates, so grid values tie."""
     coef = np.random.default_rng(seed).integers(-3, 4, size=(4, dims))
     coef[:, 1] = coef[:, 0]
     p, q, u, c = coef.tolist()
@@ -441,39 +468,32 @@ def _integer_cubic(dims, seed):
 
     def fn(*x):
         return dot(p, x) * dot(q, x) * dot(u, x) + dot(c, [xi * xi * xi for xi in x])
-
-    def grad(*x):
-        P, Q, U = dot(p, x), dot(q, x), dot(u, x)
-        return tuple(p[i] * Q * U + q[i] * P * U + u[i] * P * Q + 3 * c[i] * x[i] * x[i]
-                     for i in range(dims))
-    return fn, grad
+    return fn
 
 
 @pytest.mark.parametrize("dims", [3, 4, 5])
 def test_grid_search_matches_dense_reference(dims):
     from hyperlag.certify import _grid_refine_max
-    from hyperlag.closedform import theorem1_bound_gradient
 
     fns = [_integer_cubic(dims, 33)]  # tied at the top for every dims and N here
     if dims == 4:
-        fns.append((theorem1_bound_poly, theorem1_bound_gradient))
+        fns.append(theorem1_bound_poly)
     ties = 0
-    for (fn, grad), N in itertools.product(fns, (1, 2, 7, 24, 37)):
+    for fn, N in itertools.product(fns, (1, 2, 7, 24, 37)):
         vals, pts = grid_top_reference(fn, dims, N, 5)
         ties += vals[0] == vals[1]
-        value, witness = _grid_refine_max(fn, grad, dims, N, 0)
+        value, witness = _grid_refine_max(fn, dims, N, 0)
         assert value == vals[0] and witness.tobytes() == pts[0].tobytes()
     assert ties  # the order among tied points is exercised
 
 
 def test_four_coordinate_grid_search_builds_no_lattice_rows(monkeypatch):
     from hyperlag.certify import _grid_refine_max
-    from hyperlag.closedform import theorem1_bound_gradient
 
     def no_rows(*args, **kwargs):
         raise AssertionError("lattice rows built for a four-coordinate scan")
 
     monkeypatch.setattr(certify, "iter_lattice", no_rows)
     vals, pts = grid_top_reference(theorem1_bound_poly, 4, 24, 1)
-    value, witness = _grid_refine_max(theorem1_bound_poly, theorem1_bound_gradient, 4, 24, 0)
+    value, witness = _grid_refine_max(theorem1_bound_poly, 4, 24, 0)
     assert value == vals[0] and witness.tobytes() == pts[0].tobytes()

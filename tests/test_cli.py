@@ -129,7 +129,7 @@ MISSING = "missing/out.txt"
     (("construct", "b2k", "--n", "6"), "--k"),
     (("construct", "theorem3", "--t", "40"), "--k"),
     (("construct", "b2k", "--k", "2"), "--n"),
-    (("certify", "t3", "--k", "1"), "k must be >= 2"),
+    (("certify", "t3", "--k", "1"), "needs k >= 2"),
     (("certify", "t1", "--profiles", "2", "--grid", "4", "--refine-iters", "1"), "profile budget"),
     (("certify", "t1", "--grid", "0"), "grid_resolution must be >= 1"),
     (("lagrangian", "empty.txt"), "at least one vertex"),
@@ -142,7 +142,7 @@ MISSING = "missing/out.txt"
     (("construct", "b2k", "--k", "1", "--n", "6", "--out", MISSING), "No such file"),
     (("alpha", "--k", "2", "--out", MISSING), "No such file"),
     (("certify", "t1", "--grid", "4", "--refine-iters", "0", "--out", MISSING), "No such file"),
-    (("certify", "t1", "--k", "5"), "takes no --k"),
+    (("certify", "t1", "--k", "5"), "takes no k"),
     (("density-gain", "--kind", "t1", "--t", "25", "--k", "5"), "takes no k"),
     (("construct", "sparse", "--t", "20", "--c", "100"), "more than the 1,140 3-sets"),
     (("construct", "sparse", "--t", "20", "--c", "inf"), "finite and positive"),

@@ -20,11 +20,9 @@ from hyperlag.closedform import (
     f_b2k_numeric_max,
     f_b2k_poly,
     square_free_split,
-    theorem1_bound_gradient,
     theorem1_bound_poly,
     theorem3_bound,
     theorem3_bound_chain,
-    theorem3_bound_gradient,
     theorem3_g_poly,
     theorem3_t_poly,
     verify_theorem1_quartic_identity,
@@ -301,21 +299,29 @@ def test_bound_polynomials_on_numpy_columns_match_exact_values():
         assert np.abs(got - want).max() <= 1e-15
 
 
-def test_bound_gradients_match_exact_central_differences(monkeypatch):
+def test_complex_step_partials_match_exact_central_differences(monkeypatch):
+    from hyperlag.certify import _partials
+
+    eps = np.finfo(float).eps
+    pts = simplex_lattice(4)
+    got = _partials(theorem1_bound_poly, np.array(pts, dtype=float))
+    assert got.dtype == np.float64 and got.shape == (len(pts), 4)
     # the 2/25 polynomial is defined on all of R^4; lift the simplex check to
-    # step along single coordinates
+    # step along single coordinates exactly
     monkeypatch.setattr(closedform, "_check_simplex", lambda values, label: None)
-    for p in simplex_lattice(4):
-        grad = theorem1_bound_gradient(*p)
+    for p, row in zip(pts, got):
         for i in range(4):
             def along(h, i=i):
                 return theorem1_bound_poly(*(x + h if j == i else x for j, x in enumerate(p)))
-            assert exact_derivative(along) == grad[i]
+            assert abs(row[i] - exact_derivative(along)) <= 4 * eps
+    pts = simplex_lattice(3)
     for k in (2, 3):
-        for w, a, _ in simplex_lattice(3):
-            gw, ga = theorem3_bound_gradient(w, a, k)
-            assert exact_derivative(lambda h: theorem3_bound(w + h, a, k)) == gw
-            assert exact_derivative(lambda h: theorem3_bound(w, a + h, k)) == ga
+        got = _partials(lambda w, a, b: theorem3_bound(w, a, k), np.array(pts, dtype=float))
+        # the bound reads b as 1 - w - a, so it has no b-partial of its own
+        assert not got[:, 2].any()
+        for (w, a, _), (gw, ga, _) in zip(pts, got):
+            assert abs(gw - exact_derivative(lambda h: theorem3_bound(w + h, a, k))) <= 4 * eps
+            assert abs(ga - exact_derivative(lambda h: theorem3_bound(w, a + h, k))) <= 4 * eps
 
 
 def test_check_simplex_checks_every_row_of_a_batch():

@@ -8,7 +8,7 @@ search over the whole simplex confirms where the maximum sits.  The
 alpha_k/6 certificate combines exact early-case collapses, the exact
 monotone chain, and the analogous numeric search.  Each search scores and
 ascends the one bound polynomial its exact cases prove: the ascent takes
-its partial derivatives by the complex step.
+each value and its partial derivatives from one complex-step call.
 
 Policy throughout: a numeric search is never the bound of record on its
 own; every "<=" that matters is paired with an exact case analysis.
@@ -50,9 +50,8 @@ from .hypercore import UniformHypergraph
 from .optimize import (
     OptimizerConfig, _ascend, _compositions, _require_grid, iter_lattice, maximize_lagrangian,
 )
-# unused here: bench/test_bench.py checks that the tracer wraps project_to_simplex,
-# and the lattice size cap stays importable as certify.GRID_POINTS_MAX
-from .optimize import GRID_POINTS_MAX, project_to_simplex  # noqa: F401
+# unused here: bench/test_bench.py checks that the tracer wraps project_to_simplex
+from .optimize import project_to_simplex  # noqa: F401
 
 __all__ = [
     "CaseVerdict",
@@ -186,16 +185,18 @@ def _lattice_blocks(dims: int, resolution: int):
         yield v[:s + 1, None], v[s::-1, None], v[:rest + 1], v[rest::-1]
 
 
-def _partials(fn: Callable, P: np.ndarray) -> np.ndarray:
-    """Every partial derivative of ``fn`` at each row of P, by the complex
-    step: coordinate i is a (dims, B) column whose row j is P moved by the
-    imaginary step h*1j along e_j, so one call differentiates along every
-    axis, and the imaginary part over h is the derivative.  Every term in
-    h^2 underflows to 0 and h is a power of two, so for a formula built from
-    +, - and * each partial is exact to rounding."""
+def _complex_step(fn: Callable, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value and every partial derivative of ``fn`` at each row of P,
+    from one call by the complex step: coordinate i is a (dims, B) column
+    whose row j is P moved by the imaginary step h*1j along e_j, and the
+    imaginary part over h is the derivative along e_j.  Every term in h^2
+    underflows to 0 and h is a power of two, so for a formula built from +,
+    -, * and division by powers of two, as both bound polynomials are, each
+    partial is exact to rounding and the real part equals the real
+    evaluation bit for bit."""
     h = 2.0 ** -600
-    cols = P.T[:, None] + h * 1j * np.eye(P.shape[1])[:, :, None]
-    return fn(*cols).imag.T / h
+    Z = fn(*(P.T[:, None] + h * 1j * np.eye(P.shape[1])[:, :, None]))
+    return Z.real[0], Z.imag.T / h
 
 
 def _grid_refine_max(fn: Callable, dims: int, resolution: int,
@@ -206,9 +207,9 @@ def _grid_refine_max(fn: Callable, dims: int, resolution: int,
     each row reaches the float floor or ``refine_iters`` steps.
 
     ``fn`` must be an elementwise numpy expression that broadcasts and takes
-    complex columns: it scores each block of ``_lattice_blocks``, and the
-    ascent passes it one column per coordinate, one point per row, and
-    reads its gradient off ``_partials``."""
+    complex columns: it scores each block of ``_lattice_blocks`` on real
+    columns, and the ascent reads each trial's value and gradient off one
+    ``_complex_step`` call."""
     if refine_iters < 0:
         raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
     best_vals, best_pts = np.empty(0), np.empty((0, dims))
@@ -230,7 +231,8 @@ def _grid_refine_max(fn: Callable, dims: int, resolution: int,
         best_vals, best_pts = best_vals[order], best_pts[order]
 
     def evaluate(P):
-        return fn(*P.T), lambda rows: _partials(fn, P[rows])
+        F, G = _complex_step(fn, P)
+        return F, lambda rows: G[rows]
 
     X, F, _ = _ascend(evaluate, best_pts, refine_iters)
     # a refined point wins only when strictly better; of equal ones, the first

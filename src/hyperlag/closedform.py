@@ -23,7 +23,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from math import comb
 from typing import Union
 
@@ -76,8 +76,25 @@ def _sign_fraction(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+class _Subtraction:
+    """Subtraction for the exact types, from their ``_coerce``, ``+`` and unary ``-``."""
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+
+@total_ordering
 @dataclass(frozen=True, eq=False)
-class Surd:
+class Surd(_Subtraction):
     """Exact quadratic surd ``p + q*sqrt(d)`` with rational p, q.
 
     The radicand d is kept square-free (square parts are absorbed into q on
@@ -147,18 +164,6 @@ class Surd:
     def __neg__(self):
         return Surd(-self.p, -self.q, self.d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -202,12 +207,6 @@ class Surd:
             return 0
         return sp if pp > qq else sq
 
-    def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare Surd with {type(other).__name__}")
-        return (self - o).sign()
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -222,16 +221,10 @@ class Surd:
         return hash((self.p, self.q, self.d))
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        o = self._coerce(other)
+        if o is None:
+            raise TypeError(f"cannot compare Surd with {type(other).__name__}")
+        return (self - o).sign() < 0
 
     def __float__(self) -> float:
         return float(self.p) + float(self.q) * math.sqrt(self.d)
@@ -284,7 +277,7 @@ def to_json(obj):
 
 
 @dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(_Subtraction):
     """Dense univariate polynomial over the rationals, coefficients low-to-high.
 
     The zero polynomial is the empty coefficient tuple; otherwise the leading
@@ -328,18 +321,6 @@ class RationalPolynomial:
 
     def __neg__(self):
         return RationalPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)

@@ -487,6 +487,24 @@ def test_grid_search_matches_dense_reference(dims):
     assert ties  # the order among tied points is exercised
 
 
+def test_grid_search_evaluates_real_columns_only_in_the_scan():
+    # the ascent reads each trial's value and gradient off one complex call
+    from hyperlag.certify import _grid_refine_max
+
+    def counted(fn):
+        def wrapped(*cols):
+            calls[0] += not any(np.iscomplexobj(c) for c in cols)
+            return fn(*cols)
+        return wrapped
+
+    calls = [0]
+    _grid_refine_max(counted(theorem1_bound_poly), 4, 24, 20)
+    assert calls == [25]  # one per scan block, one block per sum a + b
+    calls = [0]
+    _grid_refine_max(counted(lambda w, a, b: theorem3_bound(w, a, 2)), 3, 24, 20)
+    assert calls == [1]  # the 325 lattice rows are one chunk
+
+
 def test_four_coordinate_grid_search_builds_no_lattice_rows(monkeypatch):
     from hyperlag.certify import _grid_refine_max
 

@@ -300,11 +300,11 @@ def test_bound_polynomials_on_numpy_columns_match_exact_values():
 
 
 def test_complex_step_partials_match_exact_central_differences(monkeypatch):
-    from hyperlag.certify import _partials
+    from hyperlag.certify import _complex_step
 
     eps = np.finfo(float).eps
     pts = simplex_lattice(4)
-    got = _partials(theorem1_bound_poly, np.array(pts, dtype=float))
+    got = _complex_step(theorem1_bound_poly, np.array(pts, dtype=float))[1]
     assert got.dtype == np.float64 and got.shape == (len(pts), 4)
     # the 2/25 polynomial is defined on all of R^4; lift the simplex check to
     # step along single coordinates exactly
@@ -316,12 +316,28 @@ def test_complex_step_partials_match_exact_central_differences(monkeypatch):
             assert abs(row[i] - exact_derivative(along)) <= 4 * eps
     pts = simplex_lattice(3)
     for k in (2, 3):
-        got = _partials(lambda w, a, b: theorem3_bound(w, a, k), np.array(pts, dtype=float))
+        got = _complex_step(lambda w, a, b: theorem3_bound(w, a, k),
+                            np.array(pts, dtype=float))[1]
         # the bound reads b as 1 - w - a, so it has no b-partial of its own
         assert not got[:, 2].any()
         for (w, a, _), (gw, ga, _) in zip(pts, got):
             assert abs(gw - exact_derivative(lambda h: theorem3_bound(w + h, a, k))) <= 4 * eps
             assert abs(ga - exact_derivative(lambda h: theorem3_bound(w, a + h, k))) <= 4 * eps
+
+
+def test_complex_step_values_are_the_real_evaluation_bit_for_bit():
+    # both polynomials use only +, -, * and division by powers of two, so
+    # every h^2 term underflows and the real part is the real evaluation
+    from hyperlag.certify import _complex_step
+
+    P = np.array(simplex_lattice(4), dtype=float)
+    assert _complex_step(theorem1_bound_poly, P)[0].tobytes() == \
+        theorem1_bound_poly(*P.T).tobytes()
+    P = np.array(simplex_lattice(3), dtype=float)
+    for k in range(2, 7):
+        def fn(w, a, b):
+            return theorem3_bound(w, a, k)
+        assert _complex_step(fn, P)[0].tobytes() == fn(*P.T).tobytes()
 
 
 def test_check_simplex_checks_every_row_of_a_batch():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hyperlag.closedform import (
-    RationalPolynomial, Surd, alpha_k, astar_weight, f_b2k_poly, theorem3_c0)
+    RationalPolynomial, Surd, alpha_k, astar_weight, f_b2k_poly, theorem1_bound_poly,
+    theorem3_bound, theorem3_c0)
 from hyperlag.constructions import (
     AdderGenerationError,
     PartitionPattern,
@@ -83,6 +84,57 @@ def test_b2k_pattern_limit_is_f_b2k(k):
     # its own weights sit at the peak a* = astar_weight(k)
     weights = b2k_pattern(k).part_weights
     assert sum(weights[:-1], start=Surd(F(0))) == astar_weight(k) == 1 - weights[-1]
+
+
+def star_split(pattern, part):
+    """``pattern`` with ``part`` split into two one-vertex centres and a rest,
+    as parts part, part + 1 and part + 2, later parts moved up by two.  A
+    template that names ``part`` m times becomes every size-m multiset over
+    the three that uses each centre at most once, and the star template joins
+    both centres with the rest.  The centres get pattern weight 0, the share
+    of one vertex in the limit; the bound polynomials weigh each at a/2."""
+    c1, c2, rest = part, part + 1, part + 2
+    templates = [(c1, c2, rest)]
+    for template in pattern.templates:
+        others = tuple(p if p < part else p + 2 for p in template if p != part)
+        for split in itertools.combinations_with_replacement(
+                (c1, c2, rest), len(template) - len(others)):
+            if split.count(c1) <= 1 and split.count(c2) <= 1:
+                templates.append(others + split)
+    w = pattern.part_weights
+    return PartitionPattern(pattern.r, w[:part - 1] + (F(0), F(0), w[part - 1]) + w[part:],
+                            templates)
+
+
+@pytest.mark.parametrize("k,size", [(None, 9), (2, 39), (3, 90), (4, 173)])
+def test_bound_polynomial_is_the_limit_of_its_star_split_pattern(k, size):
+    # the centres take a/2 each and the rest b: 2/25's (a, b, c, d) with the
+    # special part first, alpha_k/6's (w, a, b) with the first block at w/2k
+    if k is None:
+        split, dims, bound = star_split(theorem1_pattern(), 1), 4, theorem1_bound_poly
+
+        def weights(a, b, c, d):
+            return a / 2, a / 2, b, c, d
+    else:
+        split, dims = star_split(b2k_pattern(k), 2 * k + 1), 3
+
+        def weights(w, a, b):
+            return (w / (2 * k),) * (2 * k) + (a / 2, a / 2, b)
+
+        def bound(w, a, b):
+            return theorem3_bound(w, a, k)
+    assert len(split.templates) == size
+    # the resolution-4 lattice determines a cubic on the simplex
+    lattice = [tuple(F(i, 4) for i in c)
+               for c in itertools.product(range(5), repeat=dims) if sum(c) == 4]
+    want = [bound(*x) for x in lattice]
+    terms = [[limit_polynomial(PartitionPattern(3, split.part_weights, (t,)), weights(*x))
+              for x in lattice] for t in split.templates]
+    full = [sum(col) for col in zip(*terms)]
+    assert full == want
+    # without any one template the limit falls short somewhere on the lattice
+    for term in terms:
+        assert [f - t for f, t in zip(full, term)] != want
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hyperlag.certify import _partials
+from hyperlag.certify import _complex_step
 from hyperlag.closedform import alpha_k, theorem1_bound_poly, to_json
 from hyperlag.constructions import (
     PartitionPattern,
@@ -481,14 +481,14 @@ def test_batched_ascent_rows_are_independent():
 
     def batch(scale, max_iters, X0):
         def evaluate(X):
-            return scale * theorem1_bound_poly(*X.T), lambda rows: scale * _partials(
-                theorem1_bound_poly, X[rows])
+            return scale * theorem1_bound_poly(*X.T), lambda rows: scale * _complex_step(
+                theorem1_bound_poly, X[rows])[1]
 
         return _ascend(evaluate, X0, max_iters, done)
 
     def alone(scale, max_iters, x0):
         return ascend_reference(lambda x: scale * theorem1_bound_poly(*x.tolist()),
-                                lambda x: scale * _partials(theorem1_bound_poly, x[None])[0],
+                                lambda x: scale * _complex_step(theorem1_bound_poly, x[None])[1][0],
                                 x0, max_iters, lambda *a: bool(done(*a)))
 
     for scale in (40.0, 1.0):

@@ -60,7 +60,6 @@ from .certify import (
     certify_theorem3,
     check_blowup_density_gain,
     enumerate_profiles_and_bound,
-    reduce_star,
 )
 
 __version__ = "0.1.0"

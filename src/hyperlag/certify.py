@@ -8,7 +8,8 @@ search over the whole simplex confirms where the maximum sits.  The
 alpha_k/6 certificate combines exact early-case collapses, the exact
 monotone chain, and the analogous numeric search.  Each search scores and
 ascends the one bound polynomial its exact cases prove: the ascent takes
-each value and its partial derivatives from one complex-step call.
+each value and its partial derivatives from one complex-step call.  The
+optional profile case bounds every small profile exactly, by ``grid_oracle``.
 
 Policy throughout: a numeric search is never the bound of record on its
 own; every "<=" that matters is paired with an exact case analysis.
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from math import perm
+from typing import Callable
 
 import numpy as np
 
@@ -47,9 +49,7 @@ from .constructions import (
     theorem1_pattern,
 )
 from .hypercore import UniformHypergraph
-from .optimize import (
-    OptimizerConfig, _ascend, _compositions, _require_grid, iter_lattice, maximize_lagrangian,
-)
+from .optimize import _ascend, _compositions, _require_grid, grid_oracle, iter_lattice
 # unused here: bench/test_bench.py checks that the tracer wraps project_to_simplex
 from .optimize import project_to_simplex  # noqa: F401
 
@@ -58,7 +58,6 @@ __all__ = [
     "CertificateReport",
     "DensityGainReport",
     "ProfilesReport",
-    "reduce_star",
     "family",
     "gstar_target",
     "certify_theorem1",
@@ -73,9 +72,8 @@ _T1_TOL = 1e-9
 _T3_TOL = 1e-8
 # the best lattice points a grid+refine search refines
 _REFINE_STARTS = 100
-# the optimizer and tolerance of every part-size profile
-_PROFILE_CONFIG = OptimizerConfig(restarts=6, max_iters=300, seed=1)
-_PROFILE_TOL = 1e-7
+# the lattice degrees d at which a profile's exact upper bound is tried, in order
+_PROFILE_DEGREES = (6, 10, 15, 20, 25, 30)
 # the variable of the one-variable substitutions into the bound polynomials
 _X = RationalPolynomial((0, 1))
 _ZERO = Fraction(0)
@@ -117,7 +115,7 @@ class CaseVerdict:
     case_name: str
     bound_claimed: object
     bound_found: float
-    method: str  # "exact" | "grid+refine" | "sampled"
+    method: str  # "exact" | "grid+refine"
     passed: bool
     witness: tuple[float, ...] | None = None
     tol: float = 0.0
@@ -134,37 +132,9 @@ class CertificateReport:
     parameters: dict
 
 
-def reduce_star(M: UniformHypergraph, part: Sequence[int]) -> UniformHypergraph:
-    """Replace every edge inside ``part`` by the star through the two
-    lowest-index part vertices.
-
-    The output carries exactly the |part| - 2 star edges inside the part
-    (none if |part| <= 2), regardless of what was there before; edges not
-    contained in the part are untouched.  Under the local-sparsity cap on
-    the replaced edges this never lowers the maximum Lagrangian.
-    """
-    if M.r != 3:
-        raise ValueError(f"star reduction is specific to arity 3, got r = {M.r}")
-    members = sorted(set(int(v) for v in part))
-    if members and (members[0] < 1 or members[-1] > M.n):
-        raise ValueError(f"part leaves the vertex range 1..{M.n}")
-    # a lookup table, not np.isin: with numpy 2.4 the certify workload peaks 0.8 MiB lower
-    inside = np.zeros(M.n + 1, dtype=bool)
-    inside[members] = True
-    kept = UniformHypergraph(M.r, M.n, M.edge_array[~inside[M.edge_array].all(axis=1)])
-    size = len(members)
-    star = UniformHypergraph(3, size, [(1, 2, v) for v in range(3, size + 1)])
-    return assemble_gstar(kept, star, members)
-
-
 # ---------------------------------------------------------------------------
 # Grid + refinement machinery
 # ---------------------------------------------------------------------------
-
-def _require_profile_budget(s: int | None) -> None:
-    if s is not None and s < 3:
-        raise ValueError(f"profile budget must be >= 3, got {s}")
-
 
 def _lattice_blocks(dims: int, resolution: int):
     """The lattice points a/N of the simplex, N = ``resolution``, as blocks of
@@ -355,7 +325,8 @@ def certify_theorem1(
     Exact cases: c=0, a=0, d=0, the interior quartic, and b=0, which is
     exactly majorized by the a=0 case.
     The global grid+refine search must land on 2/25 at (0, 0.4, 0.4, 0.2).
-    Optionally also optimizes every part-size profile up to ``profile_s``.
+    Optionally also bounds every part-size profile up to ``profile_s``
+    exactly (``enumerate_profiles_and_bound``).
     """
     _require_grid(grid_resolution, 4)
     _require_profile_budget(profile_s)
@@ -385,9 +356,11 @@ def _report(
     if profile_s is not None:
         prof = enumerate_profiles_and_bound(theorem, profile_s, k=k)
         profiles_checked = prof.profiles_checked
+        detail = (f"open profiles, no degree in {_PROFILE_DEGREES} closes them: "
+                  f"{list(prof.open_profiles)}" if prof.open_profiles
+                  else f"worst profile {prof.worst_profile}")
         cases.append(CaseVerdict(
-            "profiles", constant, prof.worst_value, "sampled", prof.passed,
-            tol=prof.tol, detail=f"worst profile {prof.worst_profile}",
+            "profiles", constant, float(prof.worst_value), "exact", prof.passed, detail=detail,
         ))
     return CertificateReport(
         theorem=theorem,
@@ -551,30 +524,37 @@ def check_blowup_density_gain(
 
 
 # ---------------------------------------------------------------------------
-# Profile enumeration: brute-force counterpart of the analytic bound
+# Profile enumeration: an exact upper bound on every small profile
 # ---------------------------------------------------------------------------
+
+def _require_profile_budget(s: int | None) -> None:
+    """Refuse a budget below 3, or one whose s-vertex profile graphs have
+    more lattice points at the top degree than ``_require_grid`` allows."""
+    if s is None:
+        return
+    if s < 3:
+        raise ValueError(f"profile budget must be >= 3, got {s}")
+    _require_grid(_PROFILE_DEGREES[-1], s, f"profile budget {s}: degree")
+
 
 @dataclass(frozen=True)
 class ProfilesReport:
-    kind: str
-    k: int | None
-    s: int
-    constant: float
-    tol: float
     profiles_checked: int
-    worst_value: float
-    worst_profile: tuple[int, ...] | None
-    violations: tuple[tuple[tuple[int, ...], float], ...]
+    worst_value: Fraction  # the largest bound, each at the degree that closed it or the last
+    worst_profile: tuple[int, ...]
+    open_profiles: tuple[tuple[int, ...], ...]  # no degree closes them
     passed: bool
 
 
 def _profile_graph(
     pattern: PartitionPattern, part: int, profile: tuple[int, ...]
 ) -> UniformHypergraph:
-    """The pattern blown up at the profile's part sizes, with the star as
-    the edges inside ``part`` (the part that receives the adder in G*)."""
-    lo = sum(profile[: part - 1]) + 1
-    return reduce_star(blow_up_pattern(pattern, profile), range(lo, lo + profile[part - 1]))
+    """G* at the profile's part sizes with the star as its adder: the pattern
+    blown up, and the star through the two lowest vertices of ``part`` (the
+    part that receives the adder in G*) assembled into that part."""
+    lo, m = sum(profile[:part - 1]) + 1, profile[part - 1]
+    star = UniformHypergraph(3, m, [(1, 2, v) for v in range(3, m + 1)])
+    return assemble_gstar(blow_up_pattern(pattern, profile), star, range(lo, lo + m))
 
 
 def _part_classes(pattern: PartitionPattern, part: int) -> list[list[int]]:
@@ -615,35 +595,32 @@ def enumerate_profiles_and_bound(
     s: int,
     k: int | None = None,
 ) -> ProfilesReport:
-    """Optimize the reduced pattern subgraph of every part-size profile with
-    total size at most s and compare against the certified constant.
-
-    Part-internal edges are already star-replaced (the worst case the local
-    sparsity cap allows), so this is the brute-force counterpart of the
-    analytic case analysis; feasible at desk scale for s up to about 9.
+    """Bound the Lagrangian of every part-size profile of total size at most
+    s from above, exactly, with the star inside the special part (the worst
+    case the local sparsity cap allows).  The bound is d^3/(d)_3 *
+    grid_oracle(G, d) (Bomze and de Klerk) at the first degree d of
+    ``_PROFILE_DEGREES`` at which it is at most the constant, compared
+    exactly; a profile that no degree closes is open and fails.
     """
     _require_profile_budget(s)
     pattern, part, constant = family(kind, k)
-    constant = float(constant)
     profiles = _profiles(pattern, part, s)
 
-    worst_value, worst_profile = -1.0, None
-    violations = []
+    worst_value, worst_profile, open_profiles = Fraction(-1), None, []
     for profile in profiles:
-        value = maximize_lagrangian(_profile_graph(pattern, part, profile), _PROFILE_CONFIG).value
-        if value > worst_value:
-            worst_value, worst_profile = value, profile
-        if value > constant + _PROFILE_TOL:
-            violations.append((profile, value))
+        G = _profile_graph(pattern, part, profile)
+        for d in _PROFILE_DEGREES:
+            bound = Fraction(d**G.r, perm(d, G.r)) * grid_oracle(G, d)
+            if bound <= constant:
+                break
+        else:
+            open_profiles.append(profile)
+        if bound > worst_value:
+            worst_value, worst_profile = bound, profile
     return ProfilesReport(
-        kind=kind,
-        k=k,
-        s=s,
-        constant=constant,
-        tol=_PROFILE_TOL,
         profiles_checked=len(profiles),
         worst_value=worst_value,
         worst_profile=worst_profile,
-        violations=tuple(violations),
-        passed=not violations,
+        open_profiles=tuple(open_profiles),
+        passed=not open_profiles,
     )

@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--refine-iters", type=int, default=None)
     p.add_argument("--profiles", type=int, default=None,
-                   help="also optimize every part-size profile up to this total size")
+                   help="also bound every part-size profile up to this total size, exactly")
     add_out(p)
     p.set_defaults(func=cmd_certify)
 

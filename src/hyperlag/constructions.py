@@ -36,6 +36,7 @@ __all__ = [
     "theorem1_pattern",
     "build_theorem3_pattern",
     "blow_up_pattern",
+    "star_split",
     "instantiate_pattern",
     "pattern_edge_count",
     "pattern_part_sizes",
@@ -290,6 +291,27 @@ def blow_up_pattern(pattern: PartitionPattern, sizes: Sequence[int]) -> UniformH
                 (1,) * axis + (-1,) + (1,) * (len(shape) - axis - 1) + (need,))
             col += need
     return UniformHypergraph(pattern.r, sum(sizes), E)
+
+
+def star_split(pattern: PartitionPattern, part: int) -> PartitionPattern:
+    """``pattern`` (r = 3) with ``part`` split into two centres and a rest, as
+    parts part, part + 1 and part + 2, later parts moved up by two: a template
+    naming ``part`` m times becomes every size-m multiset of the three that
+    uses each centre at most once, and the star template joins both centres
+    with the rest.  Blown up with one vertex per centre, the star through the
+    part's two lowest vertices is all that lies inside the part.  The centres
+    weigh 0, one vertex's share in the limit."""
+    c1, c2, rest = part, part + 1, part + 2
+    templates = [(c1, c2, rest)]
+    for template in pattern.templates:
+        others = tuple(p if p < part else p + 2 for p in template if p != part)
+        for split in itertools.combinations_with_replacement(
+                (c1, c2, rest), len(template) - len(others)):
+            if split.count(c1) <= 1 and split.count(c2) <= 1:
+                templates.append(others + split)
+    w = pattern.part_weights
+    return PartitionPattern(pattern.r, w[:part - 1] + (Fraction(0), Fraction(0), w[part - 1])
+                            + w[part:], templates)
 
 
 def instantiate_pattern(pattern: PartitionPattern, t: int) -> UniformHypergraph:

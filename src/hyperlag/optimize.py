@@ -49,9 +49,9 @@ class OptimizerConfig:
     Armijo steps, until the KKT residual is within ``tolerance``.  The starts
     are the uniform vector, one vector uniform on each twin class while they
     fit, then Dirichlet(1, ..., 1) draws: start ``i`` from
-    ``random.Random(f"{seed}:{i}")``, the same in every process.  On a graph
-    with fewer twin classes than ``restarts - 1``, output at a given ``seed``
-    differs from versions that drew these starts with numpy's generator.
+    ``random.Random(f"{seed}:{i}")``, the same in every process.  With at
+    least ``restarts - 1`` twin classes no start is drawn, so ``seed`` has
+    no effect.
     """
 
     restarts: int = 12
@@ -358,14 +358,14 @@ _LATTICE_CAP = 2**14
 GRID_POINTS_MAX = 50_000_000
 
 
-def _require_grid(resolution: int, dims: int) -> None:
+def _require_grid(resolution: int, dims: int, name: str = "grid_resolution") -> None:
     """Refuse a resolution below 1 or a lattice of more than GRID_POINTS_MAX
-    points, before any of it is built."""
+    points, before any of it is built; ``name`` names the resolution."""
     if resolution < 1:
-        raise ValueError(f"grid_resolution must be >= 1, got {resolution}")
+        raise ValueError(f"{name} must be >= 1, got {resolution}")
     points = comb(resolution + dims - 1, resolution)
     if points > GRID_POINTS_MAX:
-        raise ValueError(f"grid_resolution {resolution} gives {points:,} lattice points in "
+        raise ValueError(f"{name} {resolution} gives {points:,} lattice points in "
                          f"{dims} coordinates, more than the {GRID_POINTS_MAX:,} searched")
 
 

@@ -15,7 +15,6 @@ from hyperlag.certify import (
     certify_theorem3,
     check_blowup_density_gain,
     enumerate_profiles_and_bound,
-    reduce_star,
 )
 from hyperlag import certify, closedform
 from hyperlag.closedform import (
@@ -30,54 +29,23 @@ from hyperlag.constructions import (
     PartitionPattern,
     SparseAdderParams,
     assemble_gstar,
+    blow_up_pattern,
     build_theorem1_base,
     build_theorem3_pattern,
     generate_sparse_adder,
     instantiate_pattern,
     pattern_parts,
+    star_split,
     theorem1_pattern,
 )
 from hyperlag.hypercore import UniformHypergraph
 from hyperlag.optimize import OptimizerConfig, maximize_lagrangian
-from reference import edges, grid_top_reference, reduce_star_reference
+from reference import grid_oracle_reference, grid_top_reference, reduce_star_reference
 
 
 # ---------------------------------------------------------------------------
 # star reduction
 # ---------------------------------------------------------------------------
-
-def test_reduce_star_replaces_internal_edges():
-    M = UniformHypergraph(3, 6, [(1, 2, 3), (2, 3, 4), (3, 4, 5), (1, 2, 6)])
-    N = reduce_star(M, [1, 2, 3, 4, 5])
-    assert edges(N) == ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6))
-
-
-def test_reduce_star_adds_star_even_when_part_was_empty():
-    M = UniformHypergraph(3, 5, [(1, 4, 5)])
-    N = reduce_star(M, [1, 2, 3])
-    assert edges(N) == ((1, 2, 3), (1, 4, 5))
-
-
-def test_reduce_star_small_part_is_identity():
-    M = UniformHypergraph(3, 5, [(1, 2, 3)])
-    assert reduce_star(M, [4, 5]) == M
-    for part in ([4, 9], [0, 4], [-1, 4, 5]):
-        with pytest.raises(ValueError, match="vertex range 1..5"):
-            reduce_star(M, part)
-
-
-def test_reduce_star_is_the_tuple_filter():
-    rng = random.Random(20)
-    for _ in range(200):
-        n = rng.randint(3, 9)
-        pool = list(itertools.combinations(range(1, n + 1), 3))
-        M = UniformHypergraph(3, n, rng.sample(pool, rng.randint(0, len(pool))))
-        part = rng.sample(range(1, n + 1), rng.choice([0, 1, 2, rng.randint(3, n)]))
-        assert reduce_star(M, part) == reduce_star_reference(M, part), (edges(M), part)
-    # a part that holds no edge only gains its star
-    M = UniformHypergraph(3, 7, [(1, 2, 5), (3, 6, 7)])
-    assert edges(reduce_star(M, [2, 3, 4, 6])) == ((1, 2, 5), (2, 3, 4), (2, 3, 6), (3, 6, 7))
-
 
 def test_reduce_star_never_decreases_optimum_under_sparsity_cap():
     """Operational form of the reduction claim: when the part's internal
@@ -93,7 +61,7 @@ def test_reduce_star_never_decreases_optimum_under_sparsity_cap():
         internal = rng.sample(pool_in, min(rng.randint(0, s1 - 2), len(pool_in)))
         cross = [(part[0], outside[0], outside[1]), (part[1], outside[1], outside[2])]
         M = UniformHypergraph(3, s1 + 3, internal + cross)
-        N = reduce_star(M, part)
+        N = reduce_star_reference(M, part)
         vm = maximize_lagrangian(M, cfg).value
         vn = maximize_lagrangian(N, cfg).value
         assert vn >= vm - 1e-9
@@ -252,10 +220,13 @@ def test_small_profile_budget_rejected_before_any_case(monkeypatch):
         raise AssertionError("grid+refine ran before the options were checked")
 
     monkeypatch.setattr(certify, "_grid_refine_max", no_search)
-    with pytest.raises(ValueError, match="profile budget"):
-        certify_theorem1(profile_s=2)
-    with pytest.raises(ValueError, match="profile budget"):
-        certify_theorem3(2, profile_s=2)
+    # s = 10 vertices at the top degree 30: C(39, 9) = 211,915,132 lattice points
+    for s in (2, 10):
+        with pytest.raises(ValueError, match="profile budget"):
+            certify_theorem1(profile_s=s)
+        with pytest.raises(ValueError, match="profile budget"):
+            certify_theorem3(2, profile_s=s)
+    certify._require_profile_budget(9)
 
 
 def test_density_gain_t1_exact_values():
@@ -429,8 +400,41 @@ def test_t3_profiles_match_the_reference(k, counts):
 
 def test_profiles_t1():
     rep = enumerate_profiles_and_bound("t1", 5)
-    assert rep.passed and rep.profiles_checked == 55
-    assert rep.worst_value <= 2 / 25 + 1e-7
+    assert rep.passed and rep.profiles_checked == 55 and rep.open_profiles == ()
+    assert rep.worst_value <= F(2, 25)
+
+
+@pytest.mark.parametrize("kind,k,s", [("t1", None, 7), ("t3", 2, 6), ("t3", 3, 6)])
+def test_profile_graph_is_the_star_reduced_blow_up(kind, k, s):
+    # against the edge filter (drop every edge inside the part, add the star
+    # through its two lowest vertices), and against one blow-up of the
+    # star-split pattern, both centres of size 1
+    pattern, part, _ = certify.family(kind, k)
+    split = star_split(pattern, part)
+    for profile in certify._profiles(pattern, part, s):
+        lo, m = sum(profile[:part - 1]) + 1, profile[part - 1]
+        got = certify._profile_graph(pattern, part, profile)
+        assert got == reduce_star_reference(blow_up_pattern(pattern, profile),
+                                            range(lo, lo + m)), profile
+        sizes = profile[:part - 1] + (min(m, 1), int(m >= 2), max(m - 2, 0)) + profile[part:]
+        assert got == blow_up_pattern(split, sizes), profile
+
+
+def test_a_profile_no_degree_closes_is_open_and_fails(monkeypatch):
+    monkeypatch.setattr(certify, "_PROFILE_DEGREES", (6,))
+    rep = certify_theorem1(20, 20, profile_s=5)
+    by_name = {c.case_name: c for c in rep.cases}
+    assert not by_name["profiles"].passed and not rep.overall
+    assert [c.case_name for c in rep.cases if not c.passed] == ["profiles"]
+    # open: exactly the profiles whose degree-6 lattice bound, scored in
+    # Fractions, exceeds 2/25
+    pattern, part, _ = certify.family("t1")
+    want = [p for p in certify._profiles(pattern, part, 5)
+            if F(216, 120) * grid_oracle_reference(certify._profile_graph(pattern, part, p), 6)
+            > F(2, 25)]
+    assert (4, 1, 0) in want and len(want) < 55
+    assert by_name["profiles"].detail.endswith(str(want))
+    assert by_name["profiles"].bound_found > 2 / 25
 
 
 def test_profiles_t1_star_value():
@@ -443,8 +447,8 @@ def test_profiles_t1_star_value():
 
 def test_profiles_t3_k2():
     rep = enumerate_profiles_and_bound("t3", 5, k=2)
-    assert rep.passed
-    assert rep.worst_value <= float(alpha_k(2)) / 6 + 1e-7
+    assert rep.passed and rep.open_profiles == ()
+    assert rep.worst_value <= alpha_k(2) / 6
 
 
 def test_profiles_t3_all_singletons():

@@ -152,6 +152,8 @@ MISSING = "missing/out.txt"
     (("certify", "t9"), "invalid choice: 't9'"),
     (("alpha", "--k", "x"), "invalid int value: 'x'"),
     (("construct", "theorem1", "--t", "25", "--k", "5"), "takes no k"),
+    (("certify", "t1", "--profiles", "10"),
+     "profile budget 10: degree 30 gives 211,915,132 lattice points"),
 ])
 def test_input_errors_exit_1(capsys, tmp_path, argv, problem):
     argv = [str(tmp_path / a) if a == MISSING else a for a in argv]

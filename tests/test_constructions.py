@@ -29,6 +29,7 @@ from hyperlag.constructions import (
     pattern_edge_count,
     pattern_part_sizes,
     pattern_parts,
+    star_split,
     theorem1_pattern,
 )
 from hyperlag.hypercore import UniformHypergraph, lagrangian_value
@@ -84,26 +85,6 @@ def test_b2k_pattern_limit_is_f_b2k(k):
     # its own weights sit at the peak a* = astar_weight(k)
     weights = b2k_pattern(k).part_weights
     assert sum(weights[:-1], start=Surd(F(0))) == astar_weight(k) == 1 - weights[-1]
-
-
-def star_split(pattern, part):
-    """``pattern`` with ``part`` split into two one-vertex centres and a rest,
-    as parts part, part + 1 and part + 2, later parts moved up by two.  A
-    template that names ``part`` m times becomes every size-m multiset over
-    the three that uses each centre at most once, and the star template joins
-    both centres with the rest.  The centres get pattern weight 0, the share
-    of one vertex in the limit; the bound polynomials weigh each at a/2."""
-    c1, c2, rest = part, part + 1, part + 2
-    templates = [(c1, c2, rest)]
-    for template in pattern.templates:
-        others = tuple(p if p < part else p + 2 for p in template if p != part)
-        for split in itertools.combinations_with_replacement(
-                (c1, c2, rest), len(template) - len(others)):
-            if split.count(c1) <= 1 and split.count(c2) <= 1:
-                templates.append(others + split)
-    w = pattern.part_weights
-    return PartitionPattern(pattern.r, w[:part - 1] + (F(0), F(0), w[part - 1]) + w[part:],
-                            templates)
 
 
 @pytest.mark.parametrize("k,size", [(None, 9), (2, 39), (3, 90), (4, 173)])
@@ -461,6 +442,9 @@ def test_assemble_gstar_errors():
     base = build_theorem1_base(10)
     with pytest.raises(ValueError, match="vertices"):
         assemble_gstar(base, UniformHypergraph(3, 3, [(1, 2, 3)]), [1, 2, 3, 4])
+    for part in ([4, 11], [0, 4], [-1, 4, 5]):
+        with pytest.raises(ValueError, match=r"vertex range 1\.\.10"):
+            assemble_gstar(base, UniformHypergraph(3, len(part), []), part)
     clash = UniformHypergraph(3, 10, [(1, 2, 5)])   # maps onto the base edge (1, 2, 13)
     with pytest.raises(ValueError, match=r"edge \(1, 2, 13\) already"):
         assemble_gstar(build_theorem1_base(25), clash,

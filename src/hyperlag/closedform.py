@@ -2,7 +2,10 @@
 
 Three value types live here: stdlib ``Fraction`` rationals, quadratic surds
 ``p + q*sqrt(d)`` with a fixed square-free radicand, and dense univariate
-polynomials with rational coefficients.
+polynomials with rational coefficients, stored as integer numerators over
+one common denominator so that their arithmetic, and their evaluation at an
+int or a Fraction, run on Python ints.  A surd's arithmetic results skip the
+square-free split: their radicand is square-free already.
 On top of them sit the formulas the certification pipelines need: the
 irrational bound family ``alpha_k``, its maximizer ``a*``, the limit
 objective ``f_b2k`` of the B(2k, n) family, the bound polynomial and the
@@ -20,6 +23,7 @@ no gradient is written by hand.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,6 +74,9 @@ def square_free_split(n: int) -> tuple[int, int]:
                 d *= f
         f += 1 if f == 2 else 2
     return m, d * rest
+
+
+_ZERO = Fraction(0)
 
 
 def _sign_fraction(x: Fraction) -> int:
@@ -127,6 +134,16 @@ class Surd(_Subtraction):
         object.__setattr__(self, "d", d)
 
     @classmethod
+    def _make(cls, p: Fraction, q: Fraction, d: int) -> "Surd":
+        """The arithmetic results' constructor: p and q are Fractions and d
+        is square-free already, so only a zero q resets d to 1."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "p", p)
+        object.__setattr__(out, "q", q)
+        object.__setattr__(out, "d", d if q else 1)
+        return out
+
+    @classmethod
     def sqrt(cls, n: Union[int, Fraction]) -> "Surd":
         """Exact square root of a nonnegative rational."""
         x = Fraction(n)
@@ -141,7 +158,7 @@ class Surd(_Subtraction):
         if isinstance(other, Surd):
             return other
         if isinstance(other, (int, Fraction)):
-            return Surd(Fraction(other))
+            return Surd._make(Fraction(other), _ZERO, 1)
         return None
 
     def _joint_d(self, other: "Surd") -> int:
@@ -157,19 +174,19 @@ class Surd(_Subtraction):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Surd(self.p + o.p, self.q + o.q, self._joint_d(o))
+        return Surd._make(self.p + o.p, self.q + o.q, self._joint_d(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self.p, -self.q, self.d)
+        return Surd._make(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         d = self._joint_d(o)
-        return Surd(self.p * o.p + self.q * o.q * d, self.p * o.q + self.q * o.p, d)
+        return Surd._make(self.p * o.p + self.q * o.q * d, self.p * o.q + self.q * o.p, d)
 
     __rmul__ = __mul__
 
@@ -178,7 +195,7 @@ class Surd(_Subtraction):
         denom = self.p * self.p - self.q * self.q * self.d
         if denom == 0:
             raise ZeroDivisionError("inverse of zero surd")
-        return Surd(self.p / denom, -self.q / denom, self.d)
+        return Surd._make(self.p / denom, -self.q / denom, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -276,79 +293,148 @@ def to_json(obj):
     return obj
 
 
-@dataclass(frozen=True)
-class RationalPolynomial(_Subtraction):
-    """Dense univariate polynomial over the rationals, coefficients low-to-high.
+def _convolve(a, b) -> list[int]:
+    """The integer coefficients, low to high, of the product of two integer
+    polynomials given low to high; empty when either is."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
-    The zero polynomial is the empty coefficient tuple; otherwise the leading
-    coefficient is nonzero.  Evaluation is Horner's rule, exact on Fractions
-    and Surds; on a float or a numpy array it runs on float coefficients.
-    Evaluating at another polynomial substitutes it for the variable.
+
+class RationalPolynomial(_Subtraction):
+    """Dense univariate polynomial over the rationals.
+
+    Stored as integer numerators, low to high, over one positive common
+    denominator, in lowest terms (the denominator and the numerators have
+    gcd 1) and with no trailing zero; the zero polynomial has no numerators,
+    denominator 1 and degree -1.  The form is unique, so equality and hash
+    are by value.  ``coeffs`` is the Fraction view, low to high.
+
+    +, -, *, / by a rational, **, ``derivative`` and substitution run on
+    Python ints, with one gcd normalisation per result.  Evaluation is
+    Horner's rule: at an int or a Fraction on the integer numerators, giving
+    one Fraction at the end; at a float or a numpy array, real or complex, on
+    float coefficients; at a Surd on the Fraction coefficients.  Evaluating
+    at another polynomial substitutes it for the variable.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    def __init__(self, coeffs=()):
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        self._num, self._den = self._normal([c.numerator * (den // c.denominator) for c in cs], den)
 
-    def __post_init__(self):
-        cs = [Fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    @staticmethod
+    def _normal(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+        """sum(num[i] x^i) / den, den a nonzero int, in the normal form."""
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            return (), 1
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num, den = [n // g for n in num], den // g
+        return tuple(num), den
+
+    @classmethod
+    def _from_ints(cls, num: list[int], den: int) -> "RationalPolynomial":
+        out = cls.__new__(cls)
+        out._num, out._den = cls._normal(num, den)
+        return out
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self._den) for n in self._num)
+
+    @cached_property
+    def _float_coeffs(self) -> tuple[float, ...]:
+        # int / int rounds correctly, so each is float(c) of its Fraction
+        return tuple(n / self._den for n in self._num)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
+        return self._num == other._num and self._den == other._den
+
+    def __hash__(self):
+        return hash((self._num, self._den))
+
+    def __repr__(self):
+        return f"RationalPolynomial(coeffs={self.coeffs!r})"
 
     def _coerce(self, other):
         if isinstance(other, RationalPolynomial):
             return other
         if isinstance(other, (int, Fraction)):
-            return RationalPolynomial((Fraction(other),))
+            return RationalPolynomial._from_ints([other.numerator], other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [Fraction(0)] * (n - len(o.coeffs))
-        return RationalPolynomial(tuple(x + y for x, y in zip(a, b)))
+        a, b, den = self._num, o._num, self._den
+        if den != o._den:
+            g = math.gcd(den, o._den)
+            ma, mb = o._den // g, den // g
+            a, b, den = [x * ma for x in a], [y * mb for y in b], den * ma
+        return RationalPolynomial._from_ints(
+            [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalPolynomial(tuple(-c for c in self.coeffs))
+        return RationalPolynomial._from_ints([-n for n in self._num], self._den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return RationalPolynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return RationalPolynomial(tuple(out))
+        return RationalPolynomial._from_ints(_convolve(self._num, o._num), self._den * o._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = RationalPolynomial((Fraction(1),))
+        num, den = [1], 1
         for _ in range(n):
-            out = out * self
-        return out
-
-    @cached_property
-    def _float_coeffs(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coeffs)
+            num, den = _convolve(num, self._num), den * self._den
+        return RationalPolynomial._from_ints(num, den)
 
     def __call__(self, x):
+        num = self._num
+        if not num:
+            return 0
+        if isinstance(x, (int, Fraction)):
+            # sum num[i] p^i q^(deg-i), over den q^deg
+            p, q = x.numerator, x.denominator
+            acc, scale = num[-1], 1
+            for n in reversed(num[:-1]):
+                scale *= q
+                acc = acc * p + n * scale
+            return Fraction(acc, self._den * scale)
+        if isinstance(x, RationalPolynomial):
+            # the same sum, with x's integer numerators p(t) and denominator q
+            p, q = x._num, x._den
+            acc, scale = [num[-1]], 1
+            for n in reversed(num[:-1]):
+                scale *= q
+                acc = _convolve(acc, p) or [0]
+                acc[0] += n * scale
+            return RationalPolynomial._from_ints(acc, self._den * scale)
         coeffs = self._float_coeffs if isinstance(x, (float, np.ndarray)) else self.coeffs
         acc = 0
         for c in reversed(coeffs):
@@ -360,10 +446,12 @@ class RationalPolynomial(_Subtraction):
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("polynomial divided by zero")
-        return RationalPolynomial(tuple(c / other for c in self.coeffs))
+        return RationalPolynomial._from_ints([n * other.denominator for n in self._num],
+                                             self._den * other.numerator)
 
     def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return RationalPolynomial._from_ints([i * n for i, n in enumerate(self._num)][1:],
+                                             self._den)
 
     def peak(self, lo, hi) -> tuple:
         """The maximum on [lo, hi] as (argmax, value), exactly, for degree at
@@ -600,9 +688,12 @@ def theorem3_bound_chain(k: int) -> dict[str, bool]:
     returns whether each step holds, by step name in this order.
 
     Steps:
-      inner-maximizer: the a-partial of ``theorem3_bound`` vanishes at
-            a = (2 - 4w)/3 for four values of w, hence identically, since
-            it has degree at most 3 in w; g is the bound there;
+      inner-maximizer: the a-partial of ``theorem3_bound`` is
+            -a (3a + 4w - 2)/4, as polynomials in a at four values of w,
+            hence identically, since both sides have degree at most 3 in w.
+            For w < 1/2 it is positive for 0 < a < (2 - 4w)/3 and negative
+            above, so a = (2 - 4w)/3, which lies in [0, 1 - w], maximizes
+            the bound over a in [0, 1 - w]; g is the bound there;
       endpoint-1/16: the apex part g - T of the envelope equals exactly
             1/16 at w = 1/2, matching w (1 - w)^2 / 2 there;
       gprime-positive: g' stays positive on [0, 1/2]: it is a concave
@@ -612,14 +703,14 @@ def theorem3_bound_chain(k: int) -> dict[str, bool]:
     """
     if k < 2:
         raise ValueError(f"chain requires k >= 2, got {k}")
-    w = _X
+    a = _X
     g = theorem3_g_poly(k)
     half = Fraction(1, 2)
     gp = g.derivative()
     g_half = g(half)
     return {
-        "inner-maximizer": all(theorem3_bound(v, (2 - 4 * v) / 3 + w, k).derivative()(0) == 0
-                               for v in (Fraction(i, 4) for i in range(4))),
+        "inner-maximizer": all(theorem3_bound(w, a, k).derivative() == -a * (3 * a + 4 * w - 2) / 4
+                               for w in (Fraction(i, 4) for i in range(4))),
         "endpoint-1/16": (g_half - theorem3_t_poly(k)(half) == Fraction(1, 16)
                           == half * (1 - half) ** 2 / 2),
         # a concave quadratic lies above its chord

@@ -5,6 +5,7 @@ type.  Not a test module; the test files import from it."""
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -160,3 +161,71 @@ def unconstrained_adder_reference(t: int, r: int, target: int, seed: int) -> Uni
     while len(drawn) < target:
         drawn.add(tuple(sorted(rng.sample(range(1, t + 1), r))))
     return UniformHypergraph(r, t, sorted(drawn))
+
+
+@dataclass(frozen=True)
+class PolynomialReference:
+    """The Fraction-coefficient polynomial the integer one replaced:
+    coefficients low to high as Fractions with no trailing zero, every
+    operation done coefficient by coefficient in Fractions, and evaluation
+    Horner's rule on those coefficients, or on their floats at a float or a
+    numpy array.  Evaluating at another polynomial substitutes it."""
+
+    coeffs: tuple = ()
+
+    def __post_init__(self):
+        cs = [Fraction(c) for c in self.coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    @staticmethod
+    def _coerce(other):
+        return other if isinstance(other, PolynomialReference) else PolynomialReference((other,))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        pairs = itertools.zip_longest(self.coeffs, o.coeffs, fillvalue=Fraction(0))
+        return PolynomialReference(tuple(x + y for x, y in pairs))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PolynomialReference(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(o.coeffs):
+                out[i + j] += a * b
+        return PolynomialReference(tuple(out))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return PolynomialReference(tuple(c / other for c in self.coeffs))
+
+    def __pow__(self, n: int):
+        out = PolynomialReference((1,))
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def derivative(self):
+        return PolynomialReference(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+
+    def __call__(self, x):
+        coeffs = self.coeffs
+        if isinstance(x, (float, np.ndarray)):
+            coeffs = [float(c) for c in coeffs]
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc

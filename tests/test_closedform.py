@@ -27,6 +27,7 @@ from hyperlag.closedform import (
     theorem3_t_poly,
     verify_theorem1_quartic_identity,
 )
+from reference import PolynomialReference
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=60)
 radicands = st.sampled_from([3, 7, 11, 15, 19])
@@ -187,6 +188,118 @@ def test_peak_bounds_the_polynomial_on_the_interval(cs, x, y, ts):
     assert lo <= argmax <= hi and p(argmax) == value
     for t in [0, 1, *ts]:
         assert value >= p(lo + t * (hi - lo))
+
+
+# coefficients with large, unrelated denominators, so sums and products
+# exercise the common denominator and its gcd
+wide_fractions = st.one_of(st.integers(-50, 50),
+                           st.fractions(min_value=-10, max_value=10, max_denominator=1000))
+coeff_lists = st.lists(wide_fractions, max_size=6)
+# trailing zeros, so the constructor's trimming is exercised too
+padded_coeff_lists = st.tuples(coeff_lists, st.integers(0, 2)).map(lambda t: t[0] + [0] * t[1])
+
+
+def both(cs):
+    return RationalPolynomial(tuple(cs)), PolynomialReference(tuple(cs))
+
+
+def agree(got, want):
+    """A polynomial result matches the reference's coefficient for
+    coefficient; any other result by value and type."""
+    if isinstance(want, PolynomialReference):
+        assert isinstance(got, RationalPolynomial) and got.coeffs == want.coeffs
+    else:
+        assert type(got) is type(want) and got == want
+
+
+def assert_normal_form(p):
+    num, den = p._num, p._den
+    assert all(type(n) is int for n in num) and type(den) is int and den > 0
+    assert math.gcd(den, *num) == 1
+    assert not num or num[-1] != 0
+    assert p.degree == len(num) - 1 and p.coeffs == tuple(F(n, den) for n in num)
+    if not num:
+        assert den == 1 and p.degree == -1
+
+
+@given(padded_coeff_lists, padded_coeff_lists, wide_fractions, st.integers(0, 4))
+def test_polynomial_arithmetic_matches_the_fraction_reference(cs1, cs2, c, n):
+    (p, rp), (q, rq) = both(cs1), both(cs2)
+    agree(p, rp)
+    results = [
+        (p + q, rp + rq), (p - q, rp - rq), (p * q, rp * rq), (-p, -rp),
+        (p + c, rp + c), (c + p, c + rp), (c - p, c - rp), (c * p, c * rp),
+        (p**n, rp**n), (p.derivative(), rp.derivative()), (p(q), rp(rq)),
+    ]
+    if c != 0:
+        results.append((p / c, rp / c))
+    for got, want in results:
+        agree(got, want)
+        if isinstance(got, RationalPolynomial):
+            assert_normal_form(got)
+
+
+@given(padded_coeff_lists, wide_fractions, st.integers(-20, 20), fractions_st, radicands)
+def test_polynomial_evaluates_like_the_fraction_reference(cs, x, i, qs, d):
+    p, rp = both(cs)
+    for point in (x, i, Surd(x, qs, d)):
+        agree(p(point), rp(point))
+
+
+finite_floats = st.floats(min_value=-4, max_value=4, allow_nan=False)
+
+
+@given(padded_coeff_lists, finite_floats, st.lists(finite_floats, min_size=1, max_size=8),
+       st.lists(finite_floats, min_size=1, max_size=8))
+def test_polynomial_float_evaluation_is_horner_on_float_coefficients(cs, x, re, im):
+    p = RationalPolynomial(tuple(cs))
+
+    def horner(x):
+        acc = 0
+        for c in reversed([float(c) for c in p.coeffs]):
+            acc = acc * x + c
+        return acc
+
+    n = min(len(re), len(im))
+    real = np.array(re)
+    cplx = real[:n] + 1j * np.array(im[:n])
+    for point in (x, np.float64(x), real, cplx, real[:, None] * real):
+        got, want = p(point), horner(point)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@given(coeff_lists, st.integers(-3, 3).filter(bool), st.integers(0, 2))
+def test_polynomial_equality_and_hash_follow_the_coefficients(cs, scale, pad):
+    p = RationalPolynomial(tuple(cs))
+    # the same value, reached by another path, and a neighbouring one
+    same = RationalPolynomial(tuple(cs) + (0,) * pad) * scale / scale
+    other = p + X**len(cs)
+    for q in (p, same, other, RationalPolynomial(())):
+        assert (p == q) == (p.coeffs == q.coeffs)
+        if p == q:
+            assert hash(p) == hash(q)
+    assert p == same and p != other
+
+
+def test_polynomial_zero_is_the_empty_normal_form():
+    zero = RationalPolynomial(())
+    assert zero == RationalPolynomial((0, F(0), 0)) == X - X == 3 * X * 0
+    assert (zero._num, zero._den, zero.degree, zero.coeffs, bool(zero)) == ((), 1, -1, (), False)
+    assert RationalPolynomial((F(2, 4), F(-3, 6))) == RationalPolynomial((F(1, 2), F(-1, 2)))
+    half = RationalPolynomial((F(1, -2), F(3, 2)))
+    assert (half._num, half._den) == ((-1, 3), 2)
+
+
+@given(fractions_st, fractions_st, fractions_st, fractions_st, radicands)
+def test_surd_arithmetic_results_are_in_normal_form(p1, q1, p2, q2, d):
+    x, y = Surd(p1, q1, d), Surd(p2, q2, d)
+    results = [x + y, x - y, -x, x * y, x + p2, p1 * y]
+    if y != 0:
+        results.append(x / y)
+    for r in results:
+        n = Surd(r.p, r.q, r.d)
+        assert (type(r.p), type(r.q), r.p, r.q, r.d) == (F, F, n.p, n.q, n.d)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +567,26 @@ def test_bound_chain_reads_the_inner_maximizer_off_the_bound(monkeypatch):
     for k in (2, 3):
         report = theorem3_bound_chain(k)
         assert [step for step, holds in report.items() if not holds] == ["inner-maximizer"]
+
+
+def test_bound_chain_proves_the_inner_maximum_not_just_a_critical_point(monkeypatch):
+    # a square in a - (2 - 4w)/3 keeps that point critical and keeps the
+    # envelope, but makes it the minimum over a: a zero derivative there
+    # passes, the identity for the whole a-partial does not
+    def perturbed(w, a, k):
+        return theorem3_bound(w, a, k) + (a - (2 - 4 * w) / 3) ** 2 / 2
+
+    monkeypatch.setattr(closedform, "theorem3_bound", perturbed)
+    for k in (2, 3):
+        report = theorem3_bound_chain(k)
+        assert [step for step, holds in report.items() if not holds] == ["inner-maximizer"]
+
+
+@pytest.mark.parametrize("k", (2, 3, 7))
+def test_bound_a_partial_identity(k):
+    a = X
+    for w in (F(0), F(1, 3), F(2, 5), F(7, 9)):
+        assert theorem3_bound(w, a, k).derivative() == -a * (3 * a + 4 * w - 2) / 4
 
 
 def test_exact_json_shape():

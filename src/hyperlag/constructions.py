@@ -388,26 +388,58 @@ def check_local_sparsity(A: UniformHypergraph, s: int) -> SparsityCheck:
 
 
 def _insertion_violation(
-    edge_set: set[tuple[int, ...]], new_edge: tuple[int, ...], t: int, s: int, r: int
+    edge_set: set[tuple[int, ...]],
+    index: dict[tuple[int, ...], list[tuple[int, ...]]],
+    new_edge: tuple[int, ...],
+    s: int,
+    r: int,
 ) -> tuple[int, ...] | None:
-    """A fresh violation after inserting new_edge must contain it, so only
-    supersets of the new edge up to size s need scanning."""
-    if s <= r:
-        return None
-    base = set(new_edge)
-    others = [v for v in range(1, t + 1) if v not in base]
-    for extra in range(1, s - r + 1):
-        for added in itertools.combinations(others, extra):
-            v0 = sorted(base.union(added))
-            count = sum(1 for e in itertools.combinations(v0, r) if e in edge_set)
-            if count > extra + 1:  # |v0| - r + 1 edges allowed
-                return tuple(v0)
+    """A vertex set of size at most s that holds new_edge and more than
+    |V| - r + 1 of the edges in edge_set (new_edge included), or None.
+
+    Precondition: the kept edges, edge_set without new_edge, are s-sparse,
+    and ``index`` maps every nonempty proper subset of each kept edge, as a
+    sorted tuple, to the kept edges that contain it.  Then a fresh violation
+    V0 contains new_edge, and so does the component C of V0's inside edges
+    that holds new_edge.  Every other component D spans a set that misses
+    new_edge, so D holds at most |span D| - r + 1 edges, and each such
+    component and each isolated vertex of V0 adds more vertices than edges.
+    Hence span C alone is a violation.  It is reached from new_edge by adding
+    the edges of C in connected order, and every set on the way lies inside
+    span C, so no step leaves size s.  The search therefore grows vertex sets
+    V from new_edge, each step adding a kept edge that shares at least
+    max(1, r - (s - |V|)) vertices with V, found through ``index``; it finds
+    a violation exactly when some superset of new_edge on at most s vertices
+    is one.
+    """
+    start = frozenset(new_edge)
+    seen, stack = {start}, [start]
+    while stack:
+        verts = stack.pop()
+        need = max(1, r - s + len(verts))
+        for key in itertools.combinations(sorted(verts), need):
+            for f in index.get(key, ()):
+                grown = verts.union(f)
+                if grown in seen:
+                    continue
+                seen.add(grown)
+                members = sorted(grown)
+                count = sum(1 for e in itertools.combinations(members, r) if e in edge_set)
+                if count > len(members) - r + 1:
+                    return tuple(members)
+                if len(members) < s:
+                    stack.append(grown)
     return None
 
 
 def generate_sparse_adder(params: SparseAdderParams) -> UniformHypergraph:
     """Seeded add-and-repair: draw a random edge, keep it if no subset of size
     at most s becomes too dense, otherwise drop it; stop at the target count.
+
+    The kept edges are s-sparse before every insertion (the adder starts
+    empty and only sparse insertions stay), so a new violation contains the
+    drawn edge and ``_insertion_violation`` finds it by growing connected
+    edge sets out from that edge through a subset index of the kept edges.
 
     Deterministic given the seed.  Raises AdderGenerationError after
     200 * target + 10,000 attempts; dense targets at small t may simply not exist,
@@ -418,6 +450,7 @@ def generate_sparse_adder(params: SparseAdderParams) -> UniformHypergraph:
     budget = 200 * target + 10_000
     vertices = range(1, params.t + 1)
     edge_set: set[tuple[int, ...]] = set()
+    index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     attempts = 0
     while len(edge_set) < target:
         if attempts >= budget:
@@ -431,8 +464,14 @@ def generate_sparse_adder(params: SparseAdderParams) -> UniformHypergraph:
         if e in edge_set:
             continue
         edge_set.add(e)
-        if _insertion_violation(edge_set, e, params.t, params.s, params.r) is not None:
+        if params.s == params.r:  # r vertices hold at most one edge: nothing to test
+            continue
+        if _insertion_violation(edge_set, index, e, params.s, params.r) is not None:
             edge_set.discard(e)
+            continue
+        for size in range(1, params.r):
+            for key in itertools.combinations(e, size):
+                index.setdefault(key, []).append(e)
     return UniformHypergraph(params.r, params.t, sorted(edge_set))
 
 

@@ -11,7 +11,7 @@ from math import comb
 
 import numpy as np
 
-from hyperlag.constructions import SparsityCheck
+from hyperlag.constructions import AdderGenerationError, SparseAdderParams, SparsityCheck
 from hyperlag.hypercore import UniformHypergraph
 from hyperlag.optimize import _compositions
 
@@ -161,6 +161,47 @@ def unconstrained_adder_reference(t: int, r: int, target: int, seed: int) -> Uni
     while len(drawn) < target:
         drawn.add(tuple(sorted(rng.sample(range(1, t + 1), r))))
     return UniformHypergraph(r, t, sorted(drawn))
+
+
+def insertion_violation_reference(
+    edge_set: set, new_edge: tuple, t: int, s: int, r: int
+) -> tuple | None:
+    """Scan every vertex set new_edge | A, A of 1..s - r other vertices in
+    lexicographic order by size, counting its edges by C(|V|, r) lookups in
+    edge_set (new_edge included); the first with more than |V| - r + 1 is
+    returned, else None."""
+    if s <= r:
+        return None
+    base = set(new_edge)
+    others = [v for v in range(1, t + 1) if v not in base]
+    for extra in range(1, s - r + 1):
+        for added in itertools.combinations(others, extra):
+            v0 = sorted(base.union(added))
+            count = sum(1 for e in itertools.combinations(v0, r) if e in edge_set)
+            if count > extra + 1:
+                return tuple(v0)
+    return None
+
+
+def sparse_adder_reference(params: SparseAdderParams) -> UniformHypergraph:
+    """The seeded add-and-repair adder with every insertion tested by
+    ``insertion_violation_reference``: the same draws, the same attempt
+    budget of 200 * target + 10,000, and AdderGenerationError past it."""
+    rng = random.Random(params.seed)
+    target = params.target_edges()
+    budget = 200 * target + 10_000
+    edge_set, attempts = set(), 0
+    while len(edge_set) < target:
+        if attempts >= budget:
+            raise AdderGenerationError(f"budget of {budget} attempts exhausted")
+        attempts += 1
+        e = tuple(sorted(rng.sample(range(1, params.t + 1), params.r)))
+        if e in edge_set:
+            continue
+        edge_set.add(e)
+        if insertion_violation_reference(edge_set, e, params.t, params.s, params.r) is not None:
+            edge_set.discard(e)
+    return UniformHypergraph(params.r, params.t, sorted(edge_set))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from hyperlag.constructions import (
     build_theorem3_pattern,
     check_local_sparsity,
     construction_metadata,
+    _insertion_violation,
     generate_sparse_adder,
     instantiate_pattern,
     pattern_edge_count,
@@ -35,7 +36,7 @@ from hyperlag.constructions import (
 from hyperlag.hypercore import UniformHypergraph, lagrangian_value
 from reference import (
     blow_up_pattern_reference, build_b2k_reference, check_local_sparsity_naive, edges,
-    unconstrained_adder_reference)
+    insertion_violation_reference, sparse_adder_reference, unconstrained_adder_reference)
 
 X = RationalPolynomial((0, 1))
 
@@ -423,6 +424,76 @@ def test_adder_at_s_equal_r_keeps_the_first_distinct_draws(r, t, c, seed):
 def test_generate_failure_advises_larger_t():
     with pytest.raises(AdderGenerationError, match="larger t"):
         generate_sparse_adder(SparseAdderParams(s=4, c=0.2, t=4, seed=1))
+
+
+def _adder_or_error(build, params):
+    try:
+        return build(params)
+    except AdderGenerationError:
+        return AdderGenerationError
+
+
+def test_adder_matches_the_superset_scan_reference():
+    # four seeded cases at each r = 2..4 and s = r + 1..r + 3; about a
+    # quarter run out of attempts, and then both must.  The scan's cost per
+    # attempt grows like t^(s - r), hence the smaller t at larger r
+    rng = random.Random(28)
+    raised = 0
+    for r, t_max in ((2, 14), (3, 12), (4, 10)):
+        for s in range(r + 1, r + 4):
+            for _ in range(4):
+                t = rng.randint(r + 1, t_max)
+                c = rng.choice((0.02, 0.05, 0.1, 0.2, 0.3, 0.4))
+                if math.ceil(c * t ** (r - 1)) > math.comb(t, r):
+                    continue
+                params = SparseAdderParams(s=s, c=c, t=t, r=r, seed=rng.randrange(1000))
+                fast = _adder_or_error(generate_sparse_adder, params)
+                assert fast == _adder_or_error(sparse_adder_reference, params), params
+                raised += fast is AdderGenerationError
+    assert 0 < raised < 20
+
+
+def _violation_both_ways(kept, new_edge, t, s, r):
+    """The grown search and the superset scan on kept + new_edge, with the
+    kept edges checked s-sparse first (the grown search's precondition)."""
+    assert check_local_sparsity(UniformHypergraph(r, t, kept), s).ok
+    index = {}
+    for e in kept:
+        for size in range(1, r):
+            for key in itertools.combinations(e, size):
+                index.setdefault(key, []).append(e)
+    edge_set = set(kept) | {new_edge}
+    return (_insertion_violation(edge_set, index, new_edge, s, r),
+            insertion_violation_reference(edge_set, new_edge, t, s, r))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_insertion_grows_through_edges_that_miss_the_new_one(n):
+    # the path 2-3, 3-4, ..., n-1 closed by 1-2: n edges on n vertices, n - 1
+    # allowed.  At n = 4 the violation holds 3-4, which misses 1-2; from
+    # n = 5 on the search must also step through such edges to reach it
+    path = [(v, v + 1) for v in range(2, n)] + [(1, n)]
+    grown, scanned = _violation_both_ways(path, (1, 2), n, n, 2)
+    assert grown == scanned == tuple(range(1, n + 1))
+
+
+def test_insertion_counts_an_edge_disjoint_from_the_new_one():
+    # on 1..6 the new edge makes five triples, four allowed, and (4, 5, 6)
+    # is one of them; at s = 5 nothing is found, so 1..6 is the only violation
+    kept = [(1, 2, 4), (1, 3, 6), (2, 3, 5), (4, 5, 6)]
+    grown, scanned = _violation_both_ways(kept, (1, 2, 3), 6, 6, 3)
+    assert grown == scanned == (1, 2, 3, 4, 5, 6)
+    assert _violation_both_ways(kept, (1, 2, 3), 6, 5, 3) == (None, None)
+    without = [e for e in kept if e != (4, 5, 6)]
+    assert _violation_both_ways(without, (1, 2, 3), 6, 6, 3) == (None, None)
+
+
+def test_insertion_accepted_by_both_below_the_violating_size():
+    # with (1, 4, 5) the six vertices hold five triples, four allowed, but
+    # every set of at most five vertices stays within its allowance
+    kept = [(1, 2, 4), (1, 3, 6), (2, 3, 5), (4, 5, 6)]
+    assert _violation_both_ways(kept, (1, 4, 5), 6, 5, 3) == (None, None)
+    assert _violation_both_ways(kept, (1, 4, 5), 6, 6, 3) == ((1, 2, 3, 4, 5, 6),) * 2
 
 
 def test_assemble_gstar_counts():

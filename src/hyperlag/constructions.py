@@ -132,6 +132,11 @@ class SparseAdderParams:
 
 @dataclass(frozen=True)
 class SparsityCheck:
+    """The verdict of ``check_local_sparsity``.  When ``ok`` is False,
+    ``witness`` is a sorted vertex set of at most s vertices that holds the
+    first edge row whose prefix of rows is not s-sparse, and that this
+    prefix violates; it is None when ``ok``."""
+
     ok: bool
     witness: tuple[int, ...] | None
 
@@ -336,54 +341,26 @@ def pattern_edge_count(pattern: PartitionPattern, t: int) -> int:
 # ---------------------------------------------------------------------------
 
 def check_local_sparsity(A: UniformHypergraph, s: int) -> SparsityCheck:
-    """Fast checker via the equivalent edge-subset criterion.
-
-    A violating V0 with v vertices holds at least v - r + 2 >= 2 edges that
-    span at most v = (v - r + 2) + r - 2 vertices, and if every connected
-    component of an edge set is span-safe the disjoint union is too (it only
-    gains vertices).  So it suffices that every *connected* set of m edges,
-    2 <= m <= s - r + 2, spans at least m + r - 1 vertices.  Such sets are
-    enumerated by exclusive extension from their lowest edge index, each
-    carrying its vertex set.  A violating set spans at most m + r - 2 <= s
-    vertices and an edge never shrinks the span, so a set is never extended
-    by an edge that takes its span past s, nor are its descendants, which
-    are supersets.  Every ancestor of a set is a subset, so each set spanning
-    at most s is still visited once and in the same order, and the first
-    violation (its span is the witness) is the one the unpruned enumeration
-    finds.
+    """Replay A's rows in order into an empty edge set and subset index
+    through ``_keep_if_sparse``, the adder's insertion step; stop at the
+    first row it rejects.  Exact for the reason ``_insertion_violation``
+    gives: each indexed prefix is s-sparse, or the replay would have
+    stopped, so row i is rejected exactly when rows[:i+1] is the first
+    prefix that is not s-sparse.  The witness is the violation found there
+    (see ``SparsityCheck``).  A pass costs one grown search per row; a
+    failure costs as many as the rows up to its own, so a late violation in
+    a sparse graph can cost nearly a pass where an early one is cheap.
     """
     if s < A.r:
         raise ValueError(f"s must be >= r = {A.r}, got {s}")
     # at s = r the condition is vacuous: r vertices hold at most one edge
     if s == A.r or A.m < 2:
         return SparsityCheck(True, None)
-    max_edges = s - A.r + 2
-
-    edges = [frozenset(e) for e in A.edge_array.tolist()]
-    touching: dict[int, set[int]] = {}
-    for idx, e in enumerate(edges):
-        for v in e:
-            touching.setdefault(v, set()).add(idx)
-    neighbors = [
-        sorted(set().union(*(touching[v] for v in e)) - {idx})
-        for idx, e in enumerate(edges)
-    ]
-
-    # ``seen``: everything ever placed in an extension list along the path
-    for root in range(len(edges)):
-        ext0 = [j for j in neighbors[root] if j > root]
-        stack = [(edges[root], 1, ext0, {root, *ext0})]
-        while stack:
-            verts, size, ext, seen = stack.pop()
-            if len(verts) <= size + A.r - 2:  # never at size 1: r > r - 1
-                return SparsityCheck(False, tuple(sorted(verts)))
-            if size == max_edges:
-                continue
-            ext = [j for j in ext if len(verts | edges[j]) <= s]
-            for pos, cand in enumerate(ext):
-                fresh = [j for j in neighbors[cand] if j > root and j not in seen]
-                stack.append((verts | edges[cand], size + 1, ext[pos + 1:] + fresh,
-                              seen | set(fresh)))
+    edge_set, index = set(), {}
+    for e in map(tuple, A.edge_array.tolist()):
+        witness = _keep_if_sparse(edge_set, index, e, s, A.r)
+        if witness is not None:
+            return SparsityCheck(False, witness)
     return SparsityCheck(True, None)
 
 
@@ -432,14 +409,34 @@ def _insertion_violation(
     return None
 
 
+def _keep_if_sparse(
+    edge_set: set, index: dict, e: tuple[int, ...], s: int, r: int
+) -> tuple[int, ...] | None:
+    """Keep the sorted edge e, new to edge_set, unless it makes the edges
+    not s-sparse: then return the violation ``_insertion_violation`` finds,
+    leaving edge_set and ``index`` as they were.  A kept e goes into
+    edge_set and each of its nonempty proper subsets into ``index``, which
+    keeps ``_insertion_violation``'s precondition for the next insertion."""
+    edge_set.add(e)
+    witness = _insertion_violation(edge_set, index, e, s, r)
+    if witness is not None:
+        edge_set.discard(e)
+        return witness
+    for size in range(1, r):
+        for key in itertools.combinations(e, size):
+            index.setdefault(key, []).append(e)
+    return None
+
+
 def generate_sparse_adder(params: SparseAdderParams) -> UniformHypergraph:
     """Seeded add-and-repair: draw a random edge, keep it if no subset of size
     at most s becomes too dense, otherwise drop it; stop at the target count.
 
     The kept edges are s-sparse before every insertion (the adder starts
-    empty and only sparse insertions stay), so a new violation contains the
-    drawn edge and ``_insertion_violation`` finds it by growing connected
-    edge sets out from that edge through a subset index of the kept edges.
+    empty and only sparse insertions stay), so ``_keep_if_sparse``, the
+    insertion step ``check_local_sparsity`` replays, tests each drawn edge
+    by growing connected edge sets out from it through a subset index of
+    the kept edges, and indexes it when kept.
 
     Deterministic given the seed.  Raises AdderGenerationError after
     200 * target + 10,000 attempts; dense targets at small t may simply not exist,
@@ -463,15 +460,10 @@ def generate_sparse_adder(params: SparseAdderParams) -> UniformHypergraph:
         e = tuple(sorted(rng.sample(vertices, params.r)))
         if e in edge_set:
             continue
-        edge_set.add(e)
         if params.s == params.r:  # r vertices hold at most one edge: nothing to test
-            continue
-        if _insertion_violation(edge_set, index, e, params.s, params.r) is not None:
-            edge_set.discard(e)
-            continue
-        for size in range(1, params.r):
-            for key in itertools.combinations(e, size):
-                index.setdefault(key, []).append(e)
+            edge_set.add(e)
+        else:
+            _keep_if_sparse(edge_set, index, e, params.s, params.r)
     return UniformHypergraph(params.r, params.t, sorted(edge_set))
 
 

@@ -267,7 +267,7 @@ def test_pattern_edge_count_rejects_undersized_parts():
 def check_local_sparsity_unpruned(A, s):
     """The exclusive-extension enumeration without the span cap: every
     connected set of at most s - r + 2 edges, rebuilding each set's span.
-    The reference for the order of the pruned checker, hence its witness."""
+    An oracle for the verdict, independent of the replay."""
     if s < A.r:
         raise ValueError(f"s must be >= r = {A.r}, got {s}")
     if s == A.r or A.m < 2:
@@ -367,21 +367,52 @@ def random_sparsity_cases(seed, count):
         yield UniformHypergraph(r, t, rng.sample(pool, m)), s
 
 
+def assert_violation(A, s, witness):
+    assert A.r <= len(witness) <= s
+    assert edges_inside(A, witness) > len(witness) - A.r + 1
+
+
+def assert_replay_witness(A, s, witness):
+    """The witness holds the first row i whose prefix rows[:i+1] is not
+    s-sparse, found by the naive checker, and that prefix violates it."""
+    rows = edges(A)
+    prefixes = (UniformHypergraph(A.r, A.n, rows[:i + 1]) for i in range(len(rows)))
+    i, prefix = next((i, P) for i, P in enumerate(prefixes)
+                     if not check_local_sparsity_naive(P, s).ok)
+    assert set(rows[i]) <= set(witness)
+    assert_violation(prefix, s, witness)
+
+
 def test_checker_matches_naive_and_unpruned_for_r2_to_r4():
     failures = 0
     for A, s in random_sparsity_cases(2024, 240):
         fast = check_local_sparsity(A, s)
         assert fast.ok == check_local_sparsity_naive(A, s).ok
-        assert fast == check_local_sparsity_unpruned(A, s)
+        assert fast.ok == check_local_sparsity_unpruned(A, s).ok
         if not fast.ok:
             failures += 1
-            assert len(fast.witness) <= s
-            assert edges_inside(A, fast.witness) > len(fast.witness) - A.r + 1
+            assert_replay_witness(A, s, fast.witness)
     assert 40 < failures < 200  # both verdicts are exercised
 
 
+def test_checker_verdict_does_not_depend_on_the_vertex_labels():
+    # relabelling reorders the rows, so the replay meets the edges, and
+    # any violation, in another order
+    rng = random.Random(29)
+    for A, s in random_sparsity_cases(2024, 240):
+        ok = check_local_sparsity_naive(A, s).ok
+        assert check_local_sparsity(A, s).ok == ok
+        for _ in range(3):
+            label = dict(zip(range(1, A.n + 1), rng.sample(range(1, A.n + 1), A.n)))
+            B = UniformHypergraph(A.r, A.n, [[label[v] for v in e] for e in edges(A)])
+            chk = check_local_sparsity(B, s)
+            assert chk.ok == ok
+            if not chk.ok:
+                assert_violation(B, s, chk.witness)
+
+
 def test_checker_scales_to_a_1440_edge_adder_with_a_planted_violation():
-    # the unpruned enumeration needs minutes here; the span cap, well under 1 s
+    # the unpruned enumeration needs minutes here; the replay, a few milliseconds
     A = generate_sparse_adder(SparseAdderParams(s=4, c=0.1, t=120, seed=0))
     assert A.m == 1440
     assert check_local_sparsity(A, 4) == SparsityCheck(True, None)

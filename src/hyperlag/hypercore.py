@@ -15,6 +15,7 @@ mixed weights, which stay exact.
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -42,7 +43,15 @@ _INDEX = re.compile(r"[+-]?[0-9]+")  # a vertex index as np.loadtxt reads an int
 @dataclass(frozen=True, eq=False)
 class UniformHypergraph:
     """An r-uniform hypergraph on vertex set {1..n}.  ``edge_array`` takes any
-    iterable of edges or an (m, r) integer array, and keeps the canonical one."""
+    iterable of edges or an (m, r) integer array, and keeps the canonical one.
+
+    The graph canonicalizes one int64 copy it owns, so the caller's array is
+    neither changed nor shared.  Rows are sorted in place only if some row is
+    not strictly increasing, the vertex range is read off the first and last
+    columns, and ``_lex_unique`` orders the rows and drops repeats.  A vertex
+    index is whatever ``operator.index`` accepts; a float, a string or any
+    other index, like a repeated vertex or one out of range, raises a
+    ValueError that names the first such edge in input order."""
 
     r: int
     n: int
@@ -55,20 +64,37 @@ class UniformHypergraph:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
         edges = self.edge_array if isinstance(self.edge_array, np.ndarray) else list(self.edge_array)
         try:
-            E = np.sort(np.asarray(edges, dtype=np.int64).reshape(len(edges), self.r), axis=1)
-            faulty = (np.count_nonzero(E[:, 0] < 1) or np.count_nonzero(E[:, -1] > self.n)
-                      or np.count_nonzero(E[:, 1:] == E[:, :-1]))
+            E = np.asarray(edges)
+            if E.dtype == object:  # Python objects: integers of any type, nothing else
+                E = np.vectorize(operator.index, otypes=[np.int64])(E)
+            elif E.dtype.kind not in "iu" and E.size:
+                raise TypeError("non-integer vertex indices")
+            # one copy the graph owns, C order, whatever the caller's layout
+            E = E.astype(np.int64, order="C", copy=E is edges).reshape(len(edges), self.r)
+            # neighbours in the flat array, less the pairs that straddle two rows:
+            # contiguous reads, ~3x faster than comparing strided columns
+            flat = E.ravel()
+            descents = flat[1:] <= flat[:-1]
+            descents[self.r - 1::self.r] = False
+            unsorted = np.count_nonzero(descents)
+            if unsorted:
+                E.sort(axis=1)
+            faulty = ((unsorted and np.count_nonzero(E[:, 1:] == E[:, :-1]))
+                      or E[:, 0].min(initial=1) < 1 or E[:, -1].max(initial=0) > self.n)
         except (ValueError, TypeError, OverflowError):
             faulty = True
         if faulty:  # name the first edge, in input order, at fault
             for e in map(tuple, edges.tolist()) if isinstance(edges, np.ndarray) else edges:
-                members = sorted(int(v) for v in e)
+                try:
+                    members = sorted(map(operator.index, e))
+                except TypeError:
+                    raise ValueError(f"edge {e} has a non-integer vertex index") from None
                 if len(members) != self.r or len(set(members)) != self.r:
                     raise ValueError(f"edge {e} does not have {self.r} distinct vertices")
                 if members[0] < 1 or members[-1] > self.n:
                     raise ValueError(f"edge {e} leaves the vertex range 1..{self.n}")
             raise ValueError("vertex indices beyond the int64 range")
-        E = _lex_unique(E, int(self.n) + 1)
+        E = _lex_unique(E, self.n)
         E.setflags(write=False)
         object.__setattr__(self, "edge_array", E)
 
@@ -91,26 +117,32 @@ class UniformHypergraph:
         r = self.r
         # each edge once per member: the member first, then the rest in order
         pairs = self.edge_array[:, [[k, *range(k), *range(k + 1, r)] for k in range(r)]]
-        pairs = _lex_unique(pairs.reshape(-1, r), self.n + 1)
+        pairs = _lex_unique(pairs.reshape(-1, r), self.n)
         return np.searchsorted(pairs[:, 0], np.arange(self.n + 2)), pairs[:, 1:]
 
 
-def _powers(base: int, width: int) -> np.ndarray:
-    """Place values that read a row of ``width`` digits in 0..base-1 as one number,
-    which sorts as the row does; Python ints where it could overflow int64."""
-    return np.array([base**k for k in range(width - 1, -1, -1)],
-                    dtype=np.int64 if base**width <= 2**63 else object)
+def _shifts(top: int, width: int) -> np.ndarray:
+    """Bit offsets that pack a row of ``width`` entries in 0..top into one number,
+    first entry highest, each in its own field of ``top.bit_length()`` bits; the
+    number sorts as the row does.  Python ints where it could overflow int64."""
+    bits = int(top).bit_length()
+    return np.array([bits * k for k in range(width - 1, -1, -1)],
+                    dtype=np.int64 if bits * width <= 63 else object)
 
 
-def _lex_unique(rows: np.ndarray, base: int) -> np.ndarray:
-    """The distinct rows of an array with entries in 0..base-1, in lexicographic
-    order; rows already in order, as a written file's are, come back as they are."""
-    powers = _powers(base, rows.shape[1])
-    key = rows @ powers
+def _lex_unique(rows: np.ndarray, top: int) -> np.ndarray:
+    """The distinct rows of an int64 array with entries in 0..top, in lexicographic
+    order; rows already in order, as a written file's are, come back as they are.
+    Otherwise each row is packed into one key, the keys are sorted and deduplicated,
+    and the rows are read back out of their bit fields."""
+    shifts = _shifts(top, rows.shape[1])
+    key = rows @ (1 << shifts)
     if np.count_nonzero(key[1:] <= key[:-1]):
         key.sort()  # with a mask, not np.unique: numpy 2.4's is ~50x slower on int64
         key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-        rows = np.stack([key // p % base for p in powers], axis=1).astype(np.int64, copy=False)
+        rows = key[:, None] >> shifts
+        rows &= (1 << int(top).bit_length()) - 1
+        rows = rows.astype(np.int64, copy=False)
     return rows
 
 
@@ -201,8 +233,8 @@ def link_difference(G: UniformHypergraph, j: int, i: int) -> frozenset[tuple[int
     mine = rows[starts[j]:starts[j + 1]]
     mine = mine[~(mine == i).any(axis=1)]
     # both groups are in lexicographic order, so their keys are sorted
-    powers = _powers(G.n + 1, G.r - 1)
-    theirs, keys = rows[starts[i]:starts[i + 1]] @ powers, mine @ powers
+    places = 1 << _shifts(G.n, G.r - 1)
+    theirs, keys = rows[starts[i]:starts[i + 1]] @ places, mine @ places
     absent = np.searchsorted(theirs, keys) == np.searchsorted(theirs, keys, side="right")
     return frozenset(map(tuple, mine[absent].tolist()))
 

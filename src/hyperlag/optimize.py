@@ -338,7 +338,7 @@ def quotient(G: UniformHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     E = G.edge_array - 1
     if sizes.size == G.n:  # twin-free: owner is the identity, E is sorted and distinct
         return E, np.ones(G.m), sizes, owner
-    T = _lex_unique(np.sort(owner[E], axis=1), sizes.size)
+    T = _lex_unique(np.sort(owner[E], axis=1), sizes.size - 1)
     # rank: how often the entry already occurs to its left in the sorted row;
     # C(n, m) / n^m is the product over ranks j < m of (n - j) / (n (j + 1))
     rank = np.zeros(T.shape, dtype=np.int64)

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import operator
 import random
 import tempfile
 import warnings
@@ -16,7 +17,7 @@ from hyperlag.hypercore import (
     HypergraphFormatError,
     UniformHypergraph,
     WeightVector,
-    _powers,
+    _shifts,
     format_hypergraph,
     lagrangian_value,
     link_difference,
@@ -72,10 +73,14 @@ def symmetrize_pair(G, x, i, j):
 
 def canonical_reference(r, n, edges):
     """The tuple canonicalization the edge array replaced: every edge sorted
-    and checked in input order, then the distinct edges sorted."""
+    and checked in input order, then the distinct edges sorted.  A vertex
+    index is whatever ``operator.index`` accepts."""
     canon = set()
     for e in edges:
-        members = tuple(sorted(int(v) for v in e))
+        try:
+            members = tuple(sorted(map(operator.index, e)))
+        except TypeError:
+            raise ValueError(f"edge {e} has a non-integer vertex index") from None
         if len(members) != r or len(set(members)) != r:
             raise ValueError(f"edge {e} does not have {r} distinct vertices")
         if members[0] < 1 or members[-1] > n:
@@ -85,23 +90,35 @@ def canonical_reference(r, n, edges):
 
 
 @st.composite
-def edge_lists(draw, faulty=True):
+def edge_lists(draw, faulty=True, increasing=False):
     """(r, n, edges): unsorted rows, repeated edges in another vertex order,
     possibly none, and, if ``faulty``, up to two bad edges anywhere.  n is
-    sometimes so large that a row read as a base-(n+1) number overflows int64."""
+    sometimes so large that a row read as one key overflows int64.
+
+    With ``increasing`` every row, bad ones too, is sorted and repeats come
+    in the same order, so the rows are out of lexicographic order but only
+    one row, if any, inserted anywhere, is not increasing: one adjacent pair
+    of it is swapped."""
     r = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.one_of(st.integers(r, 9), st.integers(2**16, 2**22)))
     edge = st.lists(st.integers(1, n), min_size=r, max_size=r, unique=True).map(tuple)
+    if increasing:
+        edge = edge.map(sorted).map(tuple)
     edges = draw(st.lists(edge, max_size=25))
     if edges:
         for e in draw(st.lists(st.sampled_from(edges), max_size=5)):
-            edges.insert(draw(st.integers(0, len(edges))), e[::-1])
-    faults = st.lists(st.sampled_from(["repeat", "zero", "over", "short"]), max_size=2)
+            edges.insert(draw(st.integers(0, len(edges))), e if increasing else e[::-1])
+    faults = st.lists(st.sampled_from(["repeat", "zero", "over", "short", "fraction"]), max_size=2)
     for fault in draw(faults) if faulty else ():
         good = draw(edge)
         bad = {"repeat": good[:-1] + good[:1], "zero": good[:-1] + (0,),
-               "over": good[:-1] + (n + 1,), "short": good[:-1]}[fault]
-        edges.insert(draw(st.integers(0, len(edges))), bad)
+               "over": good[:-1] + (n + 1,), "short": good[:-1],
+               "fraction": good[:-1] + (good[-1] - 0.5,)}[fault]
+        edges.insert(draw(st.integers(0, len(edges))), tuple(sorted(bad)) if increasing else bad)
+    if increasing and draw(st.booleans()):
+        e, c = list(draw(edge)), draw(st.integers(0, r - 2))
+        e[c:c + 2] = e[c + 1], e[c]  # one adjacent pair swapped
+        edges.insert(draw(st.integers(0, len(edges))), tuple(e))
     return r, n, edges
 
 
@@ -109,9 +126,9 @@ def edge_lists(draw, faulty=True):
 # Types
 # ---------------------------------------------------------------------------
 
-@given(edge_lists())
-def test_edge_array_matches_the_tuple_canonicalization(case):
-    r, n, rows = case
+def assert_canonical(r, n, rows):
+    """UniformHypergraph(r, n, rows) keeps canonical_reference's rows, or
+    raises its error."""
     try:
         want = canonical_reference(r, n, rows)
     except ValueError as exc:
@@ -130,6 +147,28 @@ def test_edge_array_matches_the_tuple_canonicalization(case):
         assert G != UniformHypergraph(r, n, want[1:])
 
 
+@given(edge_lists())
+def test_edge_array_matches_the_tuple_canonicalization(case):
+    assert_canonical(*case)
+
+
+# increasing rows skip the row sort: the range is read off the first and last
+# columns, and repeats and row order are left to the key sort
+@given(edge_lists(increasing=True))
+def test_increasing_rows_match_the_tuple_canonicalization(case):
+    assert_canonical(*case)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_one_swapped_pair_marks_its_row_unsorted(r):
+    # disjoint increasing blocks: no pair of neighbours across two rows descends
+    rows = [tuple(range(k * r + 1, k * r + r + 1)) for k in range(4)]
+    for k, c in itertools.product(range(4), range(r - 1)):
+        bad = list(rows[k])
+        bad[c:c + 2] = bad[c + 1], bad[c]
+        assert edges(UniformHypergraph(r, 4 * r, rows[:k] + [tuple(bad)] + rows[k + 1:])) == tuple(rows)
+
+
 @given(edge_lists(faulty=False))
 def test_parse_of_format_is_the_graph(case):
     G = UniformHypergraph(*case)
@@ -146,6 +185,49 @@ def test_edges_canonicalized_and_validated():
         UniformHypergraph(3, 4, [(1, 2, 2)])
     with pytest.raises(ValueError):
         UniformHypergraph(1, 3, [])
+
+
+@pytest.mark.parametrize("rows", [
+    [(1.5, 2, 3)], np.array([[1.5, 2, 3]]), [("1", 2, 3)], [(2.0, 1, 3)], [(F(3), 1, 2)],
+    np.array([[3.0, 1, 2]], dtype=object)])
+def test_non_integer_vertex_indices_are_refused(rows):
+    with pytest.raises(ValueError, match="non-integer vertex index"):
+        UniformHypergraph(3, 5, rows)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint64, object])
+def test_integer_arrays_of_any_width_are_accepted(dtype):
+    G = UniformHypergraph(3, 5, np.array([[3, 2, 1], [1, 4, 5], [1, 2, 3]], dtype=dtype))
+    assert edges(G) == ((1, 2, 3), (1, 4, 5)) and G.edge_array.dtype == np.int64
+
+
+def test_the_graph_owns_its_edge_array():
+    rows = np.array(list(itertools.combinations(range(1, 8), 3)), dtype=np.int64)
+    for given_rows in (rows.copy(), np.asfortranarray(rows), np.repeat(rows, 2, axis=0)[::2]):
+        assert given_rows.flags.writeable and np.array_equal(given_rows, rows)
+        G = UniformHypergraph(3, 7, given_rows)
+        assert given_rows.flags.writeable and not G.edge_array.flags.writeable
+        given_rows[:] = given_rows[::-1]
+        given_rows[0] = (7, 6, 5)
+        assert edges(G) == tuple(itertools.combinations(range(1, 8), 3))
+
+
+@pytest.mark.parametrize("n", [2**21 - 1, 2**21])
+def test_three_fields_at_the_int64_key_boundary(n):
+    # 3 x 21 bits fit an int64 key, 3 x 22 do not: the rows key as Python ints
+    assert _shifts(n, 3).dtype == (np.int64 if n < 2**21 else object)
+    rng = random.Random(n)
+    hub, top = rng.sample(range(n - 40, n), 2)
+    rows = [rng.sample(range(n - 40, n + 1), 3) for _ in range(60)]
+    rows += [rng.sample(range(1, 30), 2) + [v] for v in (hub, top) for _ in range(10)]
+    rows += [r[::-1] for r in rows[:20]]
+    G = UniformHypergraph(3, n, rows)
+    assert edges(G) == canonical_reference(3, n, rows)
+    starts, links = G.links
+    for v, want in links_reference(G).items():
+        assert list(map(tuple, links[starts[v]:starts[v + 1]].tolist())) == sorted(want)
+    for j, i in itertools.permutations((hub, top, n, 1), 2):
+        assert link_difference(G, j, i) == brute_link_difference(G, j, i)
 
 
 def test_weight_vector_normalizes_and_clamps():
@@ -409,8 +491,8 @@ def test_link_difference_matches_the_edge_scan_at_any_n(case, data):
 
 
 def test_link_keys_beyond_int64():
-    n = 600  # 601**7 > 2**63: an 8-graph's link rows key as Python ints
-    assert _powers(n + 1, 7).dtype == object
+    n = 600  # 7 fields of 10 bits: an 8-graph's link rows key as Python ints
+    assert _shifts(n, 7).dtype == object
     rng = random.Random(8)
     shared = [rng.sample(range(1, n - 1), 7) for _ in range(12)]
     edges = ([S + [n] for S in shared] + [S + [n - 1] for S in shared[:6]]

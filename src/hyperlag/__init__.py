@@ -31,7 +31,7 @@ from .optimize import (
     OptimizationResult,
     OptimizerConfig,
     StationarityReport,
-    grid_oracle,
+    bernstein_bound,
     maximize_lagrangian,
     symmetry_reduce,
     verify_stationarity,

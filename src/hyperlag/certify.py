@@ -9,7 +9,7 @@ alpha_k/6 certificate combines exact early-case collapses, the exact
 monotone chain, and the analogous numeric search.  Each search scores and
 ascends the one bound polynomial its exact cases prove: the ascent takes
 each value and its partial derivatives from one complex-step call.  The
-optional profile case bounds every small profile exactly, by ``grid_oracle``.
+optional profile case bounds each small profile exactly (``bernstein_bound``).
 
 Policy throughout: a numeric search is never the bound of record on its
 own; every "<=" that matters is paired with an exact case analysis.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
 from typing import Callable
 
 import numpy as np
@@ -49,7 +48,7 @@ from .constructions import (
     theorem1_pattern,
 )
 from .hypercore import UniformHypergraph
-from .optimize import _ascend, _compositions, _require_grid, grid_oracle, iter_lattice
+from .optimize import _ascend, _compositions, _require_grid, bernstein_bound, iter_lattice
 # unused here: bench/test_bench.py checks that the tracer wraps project_to_simplex
 from .optimize import project_to_simplex  # noqa: F401
 
@@ -528,8 +527,8 @@ def check_blowup_density_gain(
 # ---------------------------------------------------------------------------
 
 def _require_profile_budget(s: int | None) -> None:
-    """Refuse a budget below 3, or one whose s-vertex profile graphs have
-    more lattice points at the top degree than ``_require_grid`` allows."""
+    """Refuse a budget below 3, or one whose s-vertex lattice at the top degree
+    ``_require_grid`` refuses: conservative, a profile has at most s classes."""
     if s is None:
         return
     if s < 3:
@@ -597,10 +596,13 @@ def enumerate_profiles_and_bound(
 ) -> ProfilesReport:
     """Bound the Lagrangian of every part-size profile of total size at most
     s from above, exactly, with the star inside the special part (the worst
-    case the local sparsity cap allows).  The bound is d^3/(d)_3 *
-    grid_oracle(G, d) (Bomze and de Klerk) at the first degree d of
-    ``_PROFILE_DEGREES`` at which it is at most the constant, compared
-    exactly; a profile that no degree closes is open and fails.
+    case the local sparsity cap allows), by ``bernstein_bound(G, d)`` at the
+    first degree d of ``_PROFILE_DEGREES`` where it is at most the constant,
+    compared exactly; a profile that no degree closes is open and fails.
+    Never above the vertex lattice bound d^3/(d)_3 * max_a lambda(a/d), the
+    largest vertex coefficient sum_e prod_{v in e} a_v / (d)_3: split each
+    class total alpha_c by a uniform multinomial; m distinct counts have mean
+    product (alpha_c)_m / n_c^m, so a class coefficient is a vertex mean.
     """
     _require_profile_budget(s)
     pattern, part, constant = family(kind, k)
@@ -610,7 +612,7 @@ def enumerate_profiles_and_bound(
     for profile in profiles:
         G = _profile_graph(pattern, part, profile)
         for d in _PROFILE_DEGREES:
-            bound = Fraction(d**G.r, perm(d, G.r)) * grid_oracle(G, d)
+            bound = bernstein_bound(G, d)
             if bound <= constant:
                 break
         else:

@@ -1,12 +1,11 @@
 """Maximizing the Lagrangian over the simplex.
 
 Multi-start projected gradient ascent with backtracking line search is the
-workhorse, all restarts ascending together as the rows of one matrix; a
-brute-force lattice oracle over barycentric grid points gives an
-exact-rational cross-check on small instances; first-order stationarity
-can be verified at any point.  The ascent reports a certified lower bound
-on the true maximum together with convergence diagnostics; upper-bound
-claims belong to the certification pipelines, never to the heuristic search.
+workhorse, all restarts ascending together as the rows of one matrix, and
+first-order stationarity can be verified at any point: a certified lower
+bound with convergence diagnostics.  Upper bounds belong to
+``bernstein_bound``, exact on the twin-class quotient's lattice, and to the
+certification pipelines, never to the heuristic search.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, perm
 
 import numpy as np
 
@@ -26,7 +25,7 @@ __all__ = [
     "OptimizationResult",
     "StationarityReport",
     "maximize_lagrangian",
-    "grid_oracle",
+    "bernstein_bound",
     "verify_stationarity",
     "symmetry_reduce",
     "quotient",
@@ -339,18 +338,19 @@ def quotient(G: UniformHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     if sizes.size == G.n:  # twin-free: owner is the identity, E is sorted and distinct
         return E, np.ones(G.m), sizes, owner
     T = _lex_unique(np.sort(owner[E], axis=1), sizes.size - 1)
-    # rank: how often the entry already occurs to its left in the sorted row;
+    n_c, rank = sizes[T], _ranks(T)
     # C(n, m) / n^m is the product over ranks j < m of (n - j) / (n (j + 1))
-    rank = np.zeros(T.shape, dtype=np.int64)
-    for j in range(1, G.r):
-        rank[:, j] = np.where(T[:, j] == T[:, j - 1], rank[:, j - 1] + 1, 0)
-    n_c = sizes[T]
     coef = ((n_c - rank) / (n_c * (rank + 1))).prod(axis=1)
     return T, coef, sizes, owner
 
 
+def _ranks(T: np.ndarray) -> np.ndarray:
+    """How often each entry of a row already occurs to its left."""
+    return np.tril(T[:, :, None] == T[:, None, :], -1).sum(axis=2)
+
+
 # ---------------------------------------------------------------------------
-# Brute-force lattice oracle
+# The barycentric lattice, and the exact upper bound scored on it
 # ---------------------------------------------------------------------------
 
 _LATTICE_CAP = 2**14
@@ -417,29 +417,28 @@ def iter_lattice(n: int, total: int, cap: int = _LATTICE_CAP):
         yield from _lattice_runs([], n, total, cap)
 
 
-def grid_oracle(G: UniformHypergraph, resolution: int) -> Fraction:
-    """Exact maximum of the Lagrangian over lattice points (a_1/N, ..., a_n/N).
-
-    Scores are integer sums of products of lattice counts, so the result is
-    an exact rational.  For N >= r, lambda <= N^r / (N)_r * oracle with
-    (N)_r = N(N-1)...(N-r+1): for K ~ Multinomial(N, x) and distinct i_1..i_r,
-    E[K_i1 ... K_ir] = (N)_r x_i1 ... x_ir, so some lattice point K/N scores
-    at least (N)_r / N^r * lambda (the grid argument of Bomze and de Klerk).
-    A lattice of more than GRID_POINTS_MAX points is refused before scoring.
-    """
-    _require_grid(resolution, G.n)
-    if G.m == 0:
+def bernstein_bound(G: UniformHypergraph, d: int) -> Fraction:
+    """Exact upper bound on lambda(G): the largest degree-d Bernstein
+    coefficient of the quotient polynomial P, max over class points
+    |alpha| = d of sum_T w_T prod_c (alpha_c)_{m_c} / (d)_r, in Python ints.
+    Times (sum y)^(d - r), P expands with these coefficients in the basis
+    d!/alpha! y^alpha, nonnegative with sum 1 on the simplex (Polya; Bomze
+    and de Klerk 2002).  Refuses d < r, where (d)_r = 0, and a class lattice
+    of more than GRID_POINTS_MAX points, before building it."""
+    if d < G.r:
+        raise ValueError(f"degree d must be >= r = {G.r}, got {d}")
+    if G.m == 0:  # a single class; skips the twin search
         return Fraction(0)
-    if G.m * resolution**G.r >= 2**62:
-        raise ValueError("resolution too large for exact int64 scoring")
-    E = G.edge_array - 1
-    # score per edge column in one (m, chunk) int64 block of at most 16 MiB
-    cap = max(1, min(_LATTICE_CAP, 2**21 // G.m))
+    T, _, sizes, _ = quotient(G)
+    _require_grid(d, sizes.size, "degree")
+    n_c, rank, den = sizes.astype(object)[T], _ranks(T), lcm(*sizes.tolist())
+    # w_T * den^r = prod_c C(n_c, m_c) (den / n_c)^m_c, an integer
+    W = ((den // n_c * (n_c - rank)).prod(axis=1) // (rank + 1).prod(axis=1))[:, None]
     best = 0
-    for chunk in iter_lattice(G.n, resolution, cap):
-        counts = chunk.T
-        prod = counts[E[:, 0]]
-        for col in E.T[1:]:
-            prod *= counts[col]
-        best = max(best, int(prod.sum(axis=0).max()))
-    return Fraction(best, resolution**G.r)
+    # one (templates, chunk) block of at most 2^21 entries at a time
+    for chunk in iter_lattice(sizes.size, d, max(1, min(_LATTICE_CAP, 2**21 // len(T)))):
+        score = W
+        for col, ranks in zip(T.T, rank.T):
+            score = score * (chunk.T[col] - ranks[:, None])
+        best = max(best, score.sum(axis=0).max())
+    return Fraction(best, den**G.r * perm(d, G.r))

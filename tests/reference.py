@@ -7,7 +7,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import numpy as np
 
@@ -69,6 +69,53 @@ def grid_oracle_reference(G, N: int) -> Fraction:
     for bars in itertools.combinations(range(N + G.n - 1), G.n - 1):
         a = [b - prev - 1 for prev, b in zip((-1,) + bars, bars + (N + G.n - 1,))]
         best = max(best, lagrangian_value_loop(G, [Fraction(v, N) for v in a]))
+    return best
+
+
+def twin_classes_reference(G) -> list:
+    """The vertex classes of G under the transpositions (i j) that map its
+    edge set onto itself, every pair tested by swapping it in every edge and
+    joined into classes by union-find, each class sorted, classes by their
+    least vertex."""
+    present = set(edges(G))
+    parent = list(range(G.n + 1))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, j in itertools.combinations(range(1, G.n + 1), 2):
+        swap = {i: j, j: i}
+        if {tuple(sorted(swap.get(v, v) for v in e)) for e in present} == present:
+            parent[find(j)] = find(i)
+    groups = {}
+    for v in range(1, G.n + 1):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
+def bernstein_bound_reference(G, d: int) -> Fraction:
+    """The largest degree-d Bernstein coefficient of the class polynomial, in
+    Fractions: at every composition alpha of d over the twin classes (stars
+    and bars), the sum over the edges of G of prod over each edge's members
+    v, the j-th of its class c met so far, of (alpha_c - j) / n_c, over
+    (d)_r.  Edge by edge this is the mean vertex coefficient when each class
+    total alpha_c is split over its n_c members by a uniform multinomial."""
+    classes = twin_classes_reference(G)
+    owner = {v: c for c, members in enumerate(classes) for v in members}
+    k, best = len(classes), Fraction(0)
+    for bars in itertools.combinations(range(d + k - 1), k - 1):
+        alpha = [b - prev - 1 for prev, b in zip((-1,) + bars, bars + (d + k - 1,))]
+        total = Fraction(0)
+        for e in edges(G):
+            term, met = Fraction(1), [0] * k
+            for v in e:
+                c = owner[v]
+                term *= Fraction(alpha[c] - met[c], len(classes[c]))
+                met[c] += 1
+            total += term
+        best = max(best, total / perm(d, G.r))
     return best
 
 

@@ -31,11 +31,11 @@ from hyperlag.hypercore import (
 )
 from hyperlag.optimize import (
     OptimizerConfig,
-    grid_oracle,
+    bernstein_bound,
     maximize_lagrangian,
     verify_stationarity,
 )
-from reference import check_local_sparsity_naive, edges, lagrangian_gradient
+from reference import check_local_sparsity_naive, edges, grid_oracle_reference, lagrangian_gradient
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -202,18 +202,18 @@ def test_09_density_gain_exact():
 def test_10_oracle_equivalence():
     rng = random.Random(2024)
     cfg = OptimizerConfig(restarts=8, max_iters=400, seed=5)
-    # proven: oracle <= lambda <= N^3 / (N(N-1)(N-2)) * oracle at N = 30
-    scale = 30**3 / (30 * 29 * 28)
+    # proven: the best lattice point <= lambda <= the largest Bernstein
+    # coefficient, here the lattice at N = 6 and the coefficients at d = 30
     worst_gap, bounds_ok, stat_ok = 0.0, True, True
     for _ in range(50):
         G = random_graph(rng)
         res = maximize_lagrangian(G, cfg)
-        oracle = float(grid_oracle(G, 30))
-        worst_gap = max(worst_gap, abs(res.value - oracle))
-        if not oracle - 1e-9 <= res.value <= oracle * scale + 1e-9:
+        lower, upper = float(grid_oracle_reference(G, 6)), float(bernstein_bound(G, 30))
+        worst_gap = max(worst_gap, upper - res.value)
+        if not lower - 1e-9 <= res.value <= upper + 1e-9:
             bounds_ok = False
         if not verify_stationarity(G, res.argmax, 1e-6).passed:
             stat_ok = False
     report("10 oracle equivalence", bounds_ok and stat_ok,
-           f"worst |optimizer - oracle| = {worst_gap:.4f}, within the proven gap "
-           f"oracle * {scale:.4f}, stationarity tol 1e-6 at every argmax")
+           f"lattice(6) <= optimizer <= bernstein(30) on 50 graphs, worst "
+           f"bernstein - optimizer = {worst_gap:.4f}, stationarity tol 1e-6 at every argmax")

@@ -40,7 +40,7 @@ from hyperlag.constructions import (
 )
 from hyperlag.hypercore import UniformHypergraph
 from hyperlag.optimize import OptimizerConfig, maximize_lagrangian
-from reference import grid_oracle_reference, grid_top_reference, reduce_star_reference
+from reference import bernstein_bound_reference, grid_top_reference, reduce_star_reference
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +426,11 @@ def test_a_profile_no_degree_closes_is_open_and_fails(monkeypatch):
     by_name = {c.case_name: c for c in rep.cases}
     assert not by_name["profiles"].passed and not rep.overall
     assert [c.case_name for c in rep.cases if not c.passed] == ["profiles"]
-    # open: exactly the profiles whose degree-6 lattice bound, scored in
+    # open: exactly the profiles whose degree-6 Bernstein bound, scored in
     # Fractions, exceeds 2/25
     pattern, part, _ = certify.family("t1")
     want = [p for p in certify._profiles(pattern, part, 5)
-            if F(216, 120) * grid_oracle_reference(certify._profile_graph(pattern, part, p), 6)
-            > F(2, 25)]
+            if bernstein_bound_reference(certify._profile_graph(pattern, part, p), 6) > F(2, 25)]
     assert (4, 1, 0) in want and len(want) < 55
     assert by_name["profiles"].detail.endswith(str(want))
     assert by_name["profiles"].bound_found > 2 / 25

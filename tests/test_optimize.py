@@ -1,6 +1,7 @@
-"""Simplex maximization, lattice oracle, stationarity, symmetry classes, quotient."""
+"""Simplex maximization, the Bernstein upper bound, stationarity, symmetry classes, quotient."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hyperlag import certify
 from hyperlag.certify import _complex_step
 from hyperlag.closedform import alpha_k, theorem1_bound_poly, to_json
 from hyperlag.constructions import (
@@ -37,7 +39,7 @@ from hyperlag.optimize import (
     _kkt_residuals,
     _starting_points,
     _value,
-    grid_oracle,
+    bernstein_bound,
     iter_lattice,
     maximize_lagrangian,
     project_to_simplex,
@@ -45,7 +47,13 @@ from hyperlag.optimize import (
     symmetry_reduce,
     verify_stationarity,
 )
-from reference import brute_link_difference, density, edges, grid_oracle_reference
+from reference import (
+    bernstein_bound_reference,
+    brute_link_difference,
+    density,
+    edges,
+    grid_oracle_reference,
+)
 
 
 def complete3(n):
@@ -108,9 +116,11 @@ def test_b2_family_increases_toward_limit():
     limit = float(alpha_k(1)) / 6
     values = [maximize_lagrangian(build_b2k(1, n), CFG).value for n in (10, 15, 20)]
     assert values[0] < values[1] < values[2] < limit + 1e-9
-    # independent lattice cross-check at a size the oracle can afford
+    # independent cross-checks at a size the Fraction lattice can afford:
+    # above the best lattice point, below the exact Bernstein bound
     G6 = build_b2k(1, 6)
-    assert maximize_lagrangian(G6, CFG).value >= float(grid_oracle(G6, 30)) - 1e-9
+    value = maximize_lagrangian(G6, CFG).value
+    assert float(grid_oracle_reference(G6, 10)) - 1e-9 <= value <= float(bernstein_bound(G6, 30)) + 1e-9
 
 
 def test_determinism():
@@ -156,24 +166,88 @@ def test_uniform_lower_bound_chain():
 
 
 # ---------------------------------------------------------------------------
-# grid oracle
+# the Bernstein upper bound
 # ---------------------------------------------------------------------------
 
-def test_oracle_known_values():
-    assert grid_oracle(UniformHypergraph(3, 3, [(1, 2, 3)]), 3) == F(1, 27)
-    assert grid_oracle(complete3(4), 4) == F(1, 16)
-    assert grid_oracle(UniformHypergraph(3, 5, []), 10) == 0
+def complete(r, n):
+    return UniformHypergraph(r, n, itertools.combinations(range(1, n + 1), r))
 
 
-def test_oracle_guard():
-    # nine vertices are fine; the lattice size alone decides
+def test_bernstein_bound_known_values():
+    # K_n^r is one twin class, so every degree gives its Lagrangian C(n, r)/n^r
+    for r in (2, 3, 4):
+        for n in range(r, 9):
+            for d in [*range(r, r + 6), 30]:
+                assert bernstein_bound(complete(r, n), d) == F(math.comb(n, r), n**r)
+    assert bernstein_bound(UniformHypergraph(3, 3, [(1, 2, 3)]), 3) == F(1, 27)
+    assert bernstein_bound(complete3(4), 4) == F(1, 16)
+    assert bernstein_bound(complete3(8), 3) == bernstein_bound(complete3(8), 16) == F(7, 64)
+    # d^3 is past int64 here: every score is a Python int
+    assert bernstein_bound(complete3(8), 10**7) == F(7, 64)
+    for r in (2, 3, 4):
+        assert bernstein_bound(UniformHypergraph(r, 5, []), 10) == 0
+
+
+def test_bernstein_bound_guard():
+    # nine vertices, two classes: the class lattice alone decides
     big = UniformHypergraph(3, 9, [(1, 2, 3)])
-    assert grid_oracle(big, 5) == F(4, 125)
-    # C(107, 7), about 2.6e10 points: refused before any scoring
+    assert bernstein_bound(big, 5) == F(1, 27)
+    with pytest.raises(ValueError, match="degree d must be >= r = 3, got 2"):
+        bernstein_bound(big, 2)
+    with pytest.raises(ValueError, match="degree d must be >= r = 3, got 2"):
+        bernstein_bound(UniformHypergraph(3, 4, []), 2)
+    # a twin-free path on 12 vertices: C(111, 11), about 4.7e14 class points,
+    # refused before any scoring
+    path = UniformHypergraph(3, 12, [(v, v + 1, v + 2) for v in range(1, 11)])
+    assert quotient(path)[2].size == 12
     start = time.perf_counter()
     with pytest.raises(ValueError, match="lattice points"):
-        grid_oracle(complete3(8), 100)
+        bernstein_bound(path, 100)
     assert time.perf_counter() - start < 1.0
+
+
+def bound_test_graphs(seed):
+    """Random r-graphs on r + 1 to 6 vertices, r = 2, 3, 4, with a third to
+    two thirds of the r-sets, so that many are twin-free; each is also blown
+    up with two of its parts doubled, which gives it twins."""
+    rng = random.Random(seed)
+    for r in (2, 3, 4):
+        for _ in range(6):
+            n = rng.randint(r + 1, 6)
+            pool = list(itertools.combinations(range(1, n + 1), r))
+            G = UniformHypergraph(r, n, rng.sample(pool, rng.randint(len(pool) // 3, 2 * len(pool) // 3)))
+            yield G
+            doubled = rng.sample(range(n), 2)
+            yield blow_up(G, [1 + (v in doubled) for v in range(n)])
+
+
+def test_bernstein_bound_is_at_most_the_vertex_lattice_bound():
+    twin_free = strict = 0
+    for G in bound_test_graphs(23):
+        free = quotient(G)[2].size == G.n
+        twin_free += free
+        for d in (G.r, G.r + 1):
+            vertex = F(d**G.r, math.perm(d, G.r)) * grid_oracle_reference(G, d)
+            bound = bernstein_bound(G, d)
+            assert bound == vertex if free else bound <= vertex
+            strict += bound < vertex
+    assert twin_free >= 4 and strict >= 10
+
+
+def test_bernstein_bound_is_at_least_the_ascent_value():
+    cfg = OptimizerConfig(restarts=6, max_iters=400, seed=2)
+    for G in bound_test_graphs(31):
+        value = maximize_lagrangian(G, cfg).value
+        for d in (G.r, G.r + 1, 12):
+            assert float(bernstein_bound(G, d)) >= value - 1e-12
+    # the profile graphs the certificates bound, at the first degree tried
+    for kind, k, s in (("t1", None, 6), ("t3", 2, 5)):
+        pattern, part, _ = certify.family(kind, k)
+        for profile in certify._profiles(pattern, part, s):
+            G = certify._profile_graph(pattern, part, profile)
+            if G.m:
+                value = maximize_lagrangian(G, cfg).value
+                assert float(bernstein_bound(G, 6)) >= value - 1e-12
 
 
 def test_oracle_vs_optimizer_on_random_graphs():
@@ -181,9 +255,9 @@ def test_oracle_vs_optimizer_on_random_graphs():
     for _ in range(15):
         G = random_graph(rng)
         value = maximize_lagrangian(G, CFG).value
-        oracle = float(grid_oracle(G, 30))
-        # proven gap: lambda <= N^3 / (N)_3 * oracle at N = 30
-        assert oracle - 1e-9 <= value <= oracle * 30**3 / (30 * 29 * 28) + 1e-9
+        # the best lattice point at N = 6 is a value of lambda; the Bernstein
+        # coefficients at d = 30 bound it from above
+        assert float(grid_oracle_reference(G, 6)) - 1e-9 <= value <= float(bernstein_bound(G, 30)) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -577,18 +651,15 @@ def test_lattice_chunking_matches_dense():
 
 
 @pytest.mark.parametrize("cap", [None, 1, 7])
-def test_grid_oracle_matches_the_fraction_reference(monkeypatch, cap):
+def test_bernstein_bound_matches_the_fraction_reference(monkeypatch, cap):
     import hyperlag.optimize as optimize
 
     if cap is not None:
         monkeypatch.setattr(optimize, "_LATTICE_CAP", cap)
-    rng = random.Random(11)
     graphs = [UniformHypergraph(2, 4, [(1, 2), (2, 3), (3, 4), (1, 3)]),
               UniformHypergraph(3, 3, [(1, 2, 3)]),
-              UniformHypergraph(4, 5, [(1, 2, 3, 4), (1, 2, 3, 5), (2, 3, 4, 5)])]
-    for r in (2, 3, 4):
-        pool = list(itertools.combinations(range(1, 6), r))
-        graphs.append(UniformHypergraph(r, 5, rng.sample(pool, rng.randint(1, len(pool)))))
+              UniformHypergraph(4, 5, [(1, 2, 3, 4), (1, 2, 3, 5), (2, 3, 4, 5)]),
+              *bound_test_graphs(11)]
     for G in graphs:
-        for N in (1, 2, 5, 8):
-            assert grid_oracle(G, N) == grid_oracle_reference(G, N)
+        for d in (G.r, G.r + 1, 6):
+            assert bernstein_bound(G, d) == bernstein_bound_reference(G, d)

@@ -4,12 +4,12 @@ The 2/25 certificate walks the full stationary case analysis of the bound
 polynomial on the 4-simplex: the four faces close exactly (rational or surd
 arithmetic end to end; b=0 by an exact majorization onto a=0), the interior
 closes through the expanded stationarity quartic, and a grid-plus-refinement
-search over the whole simplex confirms where the maximum sits.  The
-alpha_k/6 certificate combines exact early-case collapses, the exact
-monotone chain, and the analogous numeric search.  Each search scores and
-ascends the one bound polynomial its exact cases prove: the ascent takes
+search over the whole simplex confirms where the maximum sits; the search
+scores and ascends the one bound polynomial the exact cases prove, taking
 each value and its partial derivatives from one complex-step call.  The
-optional profile case bounds each small profile exactly (``bernstein_bound``).
+alpha_k/6 certificate is exact end to end: the early-case collapse and the
+monotone chain together cover every point.  The optional profile case
+bounds each small profile exactly (``bernstein_bound``).
 
 Policy throughout: a numeric search is never the bound of record on its
 own; every "<=" that matters is paired with an exact case analysis.
@@ -48,7 +48,7 @@ from .constructions import (
     theorem1_pattern,
 )
 from .hypercore import UniformHypergraph
-from .optimize import _ascend, _compositions, _require_grid, bernstein_bound, iter_lattice
+from .optimize import _ascend, _compositions, _require_grid, bernstein_bound
 # unused here: bench/test_bench.py checks that the tracer wraps project_to_simplex
 from .optimize import project_to_simplex  # noqa: F401
 
@@ -68,7 +68,6 @@ __all__ = [
 T1_CONSTANT = Fraction(2, 25)
 # how far above its constant a grid+refine maximum may land and still pass
 _T1_TOL = 1e-9
-_T3_TOL = 1e-8
 # the best lattice points a grid+refine search refines
 _REFINE_STARTS = 100
 # the lattice degrees d at which a profile's exact upper bound is tried, in order
@@ -135,19 +134,14 @@ class CertificateReport:
 # Grid + refinement machinery
 # ---------------------------------------------------------------------------
 
-def _lattice_blocks(dims: int, resolution: int):
-    """The lattice points a/N of the simplex, N = ``resolution``, as blocks of
-    one broadcasting array per coordinate, each block in lexicographic order
-    along its flat index.
+def _lattice_blocks(resolution: int):
+    """The lattice points a/N of the 4-simplex, N = ``resolution``, as blocks
+    of one broadcasting array per coordinate, each block in lexicographic
+    order along its flat index.
 
-    In four coordinates each block is one sum s = a + b: (a, b) are two
-    (s + 1, 1) column views of one row v = (0, 1, ..., N) / N and (c, d) two
-    row views, so a block is (s + 1, N - s + 1) points and no point is built.
-    Any other ``dims`` gets whole rows of ``iter_lattice``, one block per chunk."""
-    if dims != 4:
-        for chunk in iter_lattice(dims, resolution):
-            yield tuple(chunk.T / resolution)  # one contiguous row per coordinate
-        return
+    Each block is one sum s = a + b: (a, b) are two (s + 1, 1) column views
+    of one row v = (0, 1, ..., N) / N and (c, d) two row views, so a block is
+    (s + 1, N - s + 1) points and no point is built."""
     v = np.arange(resolution + 1) / resolution
     for s in range(resolution + 1):
         rest = resolution - s
@@ -156,21 +150,21 @@ def _lattice_blocks(dims: int, resolution: int):
 
 def _complex_step(fn: Callable, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The value and every partial derivative of ``fn`` at each row of P,
-    from one call by the complex step: coordinate i is a (dims, B) column
-    whose row j is P moved by the imaginary step h*1j along e_j, and the
-    imaginary part over h is the derivative along e_j.  Every term in h^2
-    underflows to 0 and h is a power of two, so for a formula built from +,
-    -, * and division by powers of two, as both bound polynomials are, each
-    partial is exact to rounding and the real part equals the real
-    evaluation bit for bit."""
+    from one call by the complex step: with n the width of P, coordinate i
+    is an (n, B) column whose row j is P moved by the imaginary step h*1j
+    along e_j, and the imaginary part over h is the derivative along e_j.
+    Every term in h^2 underflows to 0 and h is a power of two, so for a
+    formula built from +, -, * and division by powers of two, as both bound
+    polynomials are, each partial is exact to rounding and the real part
+    equals the real evaluation bit for bit."""
     h = 2.0 ** -600
     Z = fn(*(P.T[:, None] + h * 1j * np.eye(P.shape[1])[:, :, None]))
     return Z.real[0], Z.imag.T / h
 
 
-def _grid_refine_max(fn: Callable, dims: int, resolution: int,
+def _grid_refine_max(fn: Callable, resolution: int,
                      refine_iters: int) -> tuple[float, np.ndarray]:
-    """Maximize fn over the simplex: score every barycentric lattice point,
+    """Maximize fn over the 4-simplex: score every barycentric lattice point,
     keep the ``_REFINE_STARTS`` best by value, ties to the lexicographically
     smaller point, then run projected ascent from them, as one batch, until
     each row reaches the float floor or ``refine_iters`` steps.
@@ -181,8 +175,8 @@ def _grid_refine_max(fn: Callable, dims: int, resolution: int,
     ``_complex_step`` call."""
     if refine_iters < 0:
         raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
-    best_vals, best_pts = np.empty(0), np.empty((0, dims))
-    for cols in _lattice_blocks(dims, resolution):
+    best_vals, best_pts = np.empty(0), np.empty((0, 4))
+    for cols in _lattice_blocks(resolution):
         shape = np.broadcast(*cols).shape
         vals = np.broadcast_to(fn(*cols), shape).ravel()
         # below the block's own top-th value nothing can be kept; a point
@@ -303,7 +297,7 @@ def _case_interior() -> CaseVerdict:
 
 
 def _case_t1_global(resolution: int, refine_iters: int) -> CaseVerdict:
-    found, pt = _grid_refine_max(theorem1_bound_poly, 4, resolution, refine_iters)
+    found, pt = _grid_refine_max(theorem1_bound_poly, resolution, refine_iters)
     target = np.array([0.0, 0.4, 0.4, 0.2])
     close = float(np.abs(pt - target).max())
     ok = found <= float(T1_CONSTANT) + _T1_TOL and close <= 1e-4
@@ -357,7 +351,8 @@ def _report(
         profiles_checked = prof.profiles_checked
         detail = (f"open profiles, no degree in {_PROFILE_DEGREES} closes them: "
                   f"{list(prof.open_profiles)}" if prof.open_profiles
-                  else f"worst profile {prof.worst_profile}")
+                  else f"worst profile {prof.worst_profile}: found is its upper bound at "
+                       f"the closing degree d = {prof.worst_degree}, not its Lagrangian")
         cases.append(CaseVerdict(
             "profiles", constant, float(prof.worst_value), "exact", prof.passed, detail=detail,
         ))
@@ -399,41 +394,30 @@ def _case_t3_early(k: int) -> CaseVerdict:
 
 def _case_t3_chain(k: int) -> CaseVerdict:
     failing = [step for step, holds in theorem3_bound_chain(k).items() if not holds]
-    detail = f"failing steps: {failing}" if failing else "all chain steps hold"
+    detail = (f"failing steps: {failing}" if failing else
+              "all chain steps hold: they bound every point with w < 1/2, "
+              "which takes in every point with b > w")
     return CaseVerdict(
         "monotone-chain", alpha_k(k) / 6, float(alpha_k(k)) / 6, "exact", not failing,
         detail=detail,
     )
 
 
-def certify_theorem3(
-    k: int,
-    grid_resolution: int = 200,
-    refine_iters: int = 500,
-    profile_s: int | None = None,
-) -> CertificateReport:
-    """Certify that the (2k+1)-part bound function stays at or below alpha_k/6."""
-    _, _, target = family("t3", k)
-    _require_grid(grid_resolution, 3)
-    _require_profile_budget(profile_s)
-    found, pt = _grid_refine_max(
-        lambda w, a, b: theorem3_bound(w, a, k), 3, grid_resolution, refine_iters)
-    global_ok = found <= float(target) + _T3_TOL
-    global_case = CaseVerdict(
-        "global", target, found, "grid+refine", global_ok,
-        witness=tuple(float(v) for v in pt), tol=_T3_TOL,
-        detail=f"peak over (w, a) at w={pt[0]:.6f}, a={pt[1]:.6f}; target {float(target):.9f}",
-    )
+def certify_theorem3(k: int, profile_s: int | None = None) -> CertificateReport:
+    """Certify that the (2k+1)-part bound function stays at or below alpha_k/6,
+    exactly, at every point (w, a) with b = 1 - w - a >= 0.
 
-    cases = [_case_t3_early(k), _case_t3_chain(k), global_case]
-    return _report("t3", k, cases, target, profile_s, {
-        "k": k,
-        "grid_resolution": grid_resolution,
-        "refine_iters": refine_iters,
-        "tol": _T3_TOL,
-        "top": _REFINE_STARTS,
-        "profile_s": profile_s,
-    })
+    The two cases cover the triangle: early-collapse bounds every point with
+    b <= w, and the monotone chain every point with w < 1/2, since its
+    inner-maximizer sign identity holds for every a in [0, 1 - w]; a point
+    with w >= 1/2 has b = 1 - w - a <= w.  Optionally also bounds every
+    part-size profile up to ``profile_s`` exactly
+    (``enumerate_profiles_and_bound``).
+    """
+    _, _, target = family("t3", k)
+    _require_profile_budget(profile_s)
+    cases = [_case_t3_early(k), _case_t3_chain(k)]
+    return _report("t3", k, cases, target, profile_s, {"k": k, "profile_s": profile_s})
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +525,7 @@ class ProfilesReport:
     profiles_checked: int
     worst_value: Fraction  # the largest bound, each at the degree that closed it or the last
     worst_profile: tuple[int, ...]
+    worst_degree: int  # the degree worst_value was taken at
     open_profiles: tuple[tuple[int, ...], ...]  # no degree closes them
     passed: bool
 
@@ -608,7 +593,7 @@ def enumerate_profiles_and_bound(
     pattern, part, constant = family(kind, k)
     profiles = _profiles(pattern, part, s)
 
-    worst_value, worst_profile, open_profiles = Fraction(-1), None, []
+    worst_value, worst_profile, worst_degree, open_profiles = Fraction(-1), None, None, []
     for profile in profiles:
         G = _profile_graph(pattern, part, profile)
         for d in _PROFILE_DEGREES:
@@ -618,11 +603,12 @@ def enumerate_profiles_and_bound(
         else:
             open_profiles.append(profile)
         if bound > worst_value:
-            worst_value, worst_profile = bound, profile
+            worst_value, worst_profile, worst_degree = bound, profile, d
     return ProfilesReport(
         profiles_checked=len(profiles),
         worst_value=worst_value,
         worst_profile=worst_profile,
+        worst_degree=worst_degree,
         open_profiles=tuple(open_profiles),
         passed=not open_profiles,
     )

@@ -123,13 +123,13 @@ def cmd_certify(args) -> int:
     if args.theorem == "t3" and args.k is None:
         raise ValueError("certify t3 needs --k")
     certify.family(args.theorem, args.k)
-    # options left out keep the library's defaults
-    given = {"grid_resolution": args.grid, "refine_iters": args.refine_iters}
-    options = {name: value for name, value in given.items() if value is not None}
     if args.theorem == "t1":
+        # options left out keep the library's defaults
+        given = {"grid_resolution": args.grid, "refine_iters": args.refine_iters}
+        options = {name: value for name, value in given.items() if value is not None}
         report = certify.certify_theorem1(profile_s=args.profiles, **options)
-    else:
-        report = certify.certify_theorem3(args.k, profile_s=args.profiles, **options)
+    else:  # t3 is exact end to end: it accepts --grid and --refine-iters and ignores them
+        report = certify.certify_theorem3(args.k, profile_s=args.profiles)
     _emit(closedform.to_json(report), args.out)
     for case in report.cases:
         _say(f"[{'PASS' if case.passed else 'FAIL'}] {case.case_name}: "
@@ -198,8 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run a certification pipeline")
     p.add_argument("theorem", choices=["t1", "t3"])
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--refine-iters", type=int, default=None)
+    p.add_argument("--grid", type=int, default=None,
+                   help="lattice resolution of t1's global search; t3 has none")
+    p.add_argument("--refine-iters", type=int, default=None,
+                   help="ascent steps of t1's global search; t3 has none")
     p.add_argument("--profiles", type=int, default=None,
                    help="also bound every part-size profile up to this total size, exactly")
     add_out(p)

@@ -15,9 +15,11 @@ the alpha_k/6 certificate.
 Everything is pure and exact.  Floats appear only when a caller asks for
 them explicitly; every comparison and identity on the exact path is decided
 in integer arithmetic.  The bound polynomials take Fractions, floats or
-numpy columns, real or complex, alike, so the numeric searches evaluate and
-differentiate (by the complex step) the same formulas the exact cases prove;
-no gradient is written by hand.
+numpy columns, real or complex, alike, so the 2/25 certificate's numeric
+search evaluates and differentiates (by the complex step) the same formula
+its exact cases prove, and no gradient is written by hand.  The alpha_k/6
+certificate runs no numeric search: its early-case collapse and monotone
+chain cover every point exactly.
 """
 
 from __future__ import annotations

@@ -170,7 +170,7 @@ def test_certificates_cast_no_complex_value_to_float():
     # a cast that drops an imaginary part warns, and here fails
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert certify_theorem1(40, 20).overall and certify_theorem3(2, 40, 20).overall
+        assert certify_theorem1(40, 20).overall
     # the check reads the real point a complex-step point moves
     step = 2.0 ** -600 * 1j
     cols = np.array([[0.25, -0.25], [0.25, 0.5], [0.25, 0.5], [0.25, 0.25]]) + step
@@ -184,13 +184,23 @@ def test_certificates_cast_no_complex_value_to_float():
 # ---------------------------------------------------------------------------
 
 def test_certify_theorem3_k2_quick():
-    rep = certify_theorem3(2, grid_resolution=80, refine_iters=200)
+    rep = certify_theorem3(2)
     assert rep.overall
-    by_name = {c.case_name: c for c in rep.cases}
+    assert [c.case_name for c in rep.cases] == ["early-collapse", "monotone-chain"]
+    assert rep.parameters == {"k": 2, "profile_s": None}
     target = float(alpha_k(2)) / 6
-    assert by_name["global"].bound_found <= target + 1e-8
-    assert by_name["global"].bound_found == pytest.approx(target, abs=1e-6)
-    assert by_name["monotone-chain"].passed and by_name["early-collapse"].passed
+    assert all(c.bound_found == pytest.approx(target) for c in rep.cases)
+
+
+def test_certify_theorem3_runs_no_numeric_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("certify_theorem3 ran the grid+refine search")
+
+    monkeypatch.setattr(certify, "_grid_refine_max", no_search)
+    for k in range(2, 7):
+        rep = certify_theorem3(k)
+        assert rep.overall, k
+        assert {c.method for c in rep.cases} == {"exact"}, k
 
 
 def test_certify_theorem3_fails_on_a_perturbed_bound(monkeypatch):
@@ -200,7 +210,7 @@ def test_certify_theorem3_fails_on_a_perturbed_bound(monkeypatch):
 
     monkeypatch.setattr(certify, "theorem3_bound", perturbed)
     monkeypatch.setattr(closedform, "theorem3_bound", perturbed)
-    rep = certify_theorem3(2, grid_resolution=20, refine_iters=20)
+    rep = certify_theorem3(2)
     by_name = {c.case_name: c for c in rep.cases}
     assert not by_name["early-collapse"].passed and not by_name["monotone-chain"].passed
     assert not rep.overall
@@ -450,6 +460,16 @@ def test_profiles_t3_k2():
     assert rep.worst_value <= alpha_k(2) / 6
 
 
+def test_profiles_case_names_the_closing_degree():
+    # (0, 5, 1) is closed at d = 6 by a bound of exactly 2/25; its Lagrangian is 0.0593
+    rep = enumerate_profiles_and_bound("t1", 6)
+    assert (rep.worst_profile, rep.worst_degree, rep.worst_value) == ((0, 5, 1), 6, F(2, 25))
+    case = certify_theorem1(20, 0, profile_s=6).cases[-1]
+    assert case.case_name == "profiles" and case.bound_found == 0.08
+    assert "worst profile (0, 5, 1)" in case.detail and "degree d = 6" in case.detail
+    assert "not its Lagrangian" in case.detail
+
+
 def test_profiles_t3_all_singletons():
     # five singleton parts give a complete pattern slice on 5 vertices
     from hyperlag.certify import _profile_graph
@@ -474,18 +494,17 @@ def _integer_cubic(dims, seed):
     return fn
 
 
-@pytest.mark.parametrize("dims", [3, 4, 5])
+@pytest.mark.parametrize("dims", [4])
 def test_grid_search_matches_dense_reference(dims):
     from hyperlag.certify import _grid_refine_max
 
-    fns = [_integer_cubic(dims, 33)]  # tied at the top for every dims and N here
-    if dims == 4:
-        fns.append(theorem1_bound_poly)
+    # the integer cubic is tied at the top for every N here
+    fns = [_integer_cubic(dims, 33), theorem1_bound_poly]
     ties = 0
     for fn, N in itertools.product(fns, (1, 2, 7, 24, 37)):
         vals, pts = grid_top_reference(fn, dims, N, 5)
         ties += vals[0] == vals[1]
-        value, witness = _grid_refine_max(fn, dims, N, 0)
+        value, witness = _grid_refine_max(fn, N, 0)
         assert value == vals[0] and witness.tobytes() == pts[0].tobytes()
     assert ties  # the order among tied points is exercised
 
@@ -501,20 +520,5 @@ def test_grid_search_evaluates_real_columns_only_in_the_scan():
         return wrapped
 
     calls = [0]
-    _grid_refine_max(counted(theorem1_bound_poly), 4, 24, 20)
+    _grid_refine_max(counted(theorem1_bound_poly), 24, 20)
     assert calls == [25]  # one per scan block, one block per sum a + b
-    calls = [0]
-    _grid_refine_max(counted(lambda w, a, b: theorem3_bound(w, a, 2)), 3, 24, 20)
-    assert calls == [1]  # the 325 lattice rows are one chunk
-
-
-def test_four_coordinate_grid_search_builds_no_lattice_rows(monkeypatch):
-    from hyperlag.certify import _grid_refine_max
-
-    def no_rows(*args, **kwargs):
-        raise AssertionError("lattice rows built for a four-coordinate scan")
-
-    monkeypatch.setattr(certify, "iter_lattice", no_rows)
-    vals, pts = grid_top_reference(theorem1_bound_poly, 4, 24, 1)
-    value, witness = _grid_refine_max(theorem1_bound_poly, 4, 24, 0)
-    assert value == vals[0] and witness.tobytes() == pts[0].tobytes()

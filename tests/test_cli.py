@@ -92,6 +92,9 @@ def test_certify_t3_passes(capsys, tmp_path):
     report = json.loads(Path(out).read_text())
     assert report["overall"] is True
     assert report["theorem"] == "t3" and report["k"] == 2
+    # --grid and --refine-iters are accepted and ignored: t3 runs no search
+    assert [c["method"] for c in report["cases"]] == ["exact", "exact"]
+    assert report["parameters"] == {"k": 2, "profile_s": None}
     assert "overall: PASS" in err
 
 
@@ -103,7 +106,6 @@ def test_certify_t1_coarse_grid_exits_2(capsys):
 
 @pytest.mark.parametrize("argv, points", [
     (("certify", "t1", "--grid", "5000"), "20,858,342,501 lattice points"),
-    (("certify", "t3", "--k", "2", "--grid", "20000"), "200,030,001 lattice points"),
 ])
 def test_certify_refuses_a_huge_grid_before_scanning(capsys, argv, points):
     start = time.perf_counter()

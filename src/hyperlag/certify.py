@@ -48,7 +48,7 @@ from .constructions import (
     theorem1_pattern,
 )
 from .hypercore import UniformHypergraph
-from .optimize import _ascend, _compositions, _require_grid, bernstein_bound
+from .optimize import _ascend, _bernstein_bounds, _compositions, _require_grid
 # unused here: bench/test_bench.py checks that the tracer wraps project_to_simplex
 from .optimize import project_to_simplex  # noqa: F401
 
@@ -595,9 +595,9 @@ def enumerate_profiles_and_bound(
 
     worst_value, worst_profile, worst_degree, open_profiles = Fraction(-1), None, None, []
     for profile in profiles:
-        G = _profile_graph(pattern, part, profile)
+        bound_at = _bernstein_bounds(_profile_graph(pattern, part, profile))
         for d in _PROFILE_DEGREES:
-            bound = bernstein_bound(G, d)
+            bound = bound_at(d)
             if bound <= constant:
                 break
         else:

@@ -231,12 +231,14 @@ def link_difference(G: UniformHypergraph, j: int, i: int) -> frozenset[tuple[int
             raise ValueError(f"vertex {v} leaves the range 1..{G.n}")
     starts, rows = G.links
     mine = rows[starts[j]:starts[j + 1]]
-    mine = mine[~(mine == i).any(axis=1)]
     # both groups are in lexicographic order, so their keys are sorted
     places = 1 << _shifts(G.n, G.r - 1)
     theirs, keys = rows[starts[i]:starts[i + 1]] @ places, mine @ places
+    # column by column: faster than (mine != i).all(axis=1) on a short link
+    kept = np.flatnonzero(np.logical_and.reduce([col != i for col in mine.T]))
+    keys = keys[kept]
     absent = np.searchsorted(theirs, keys) == np.searchsorted(theirs, keys, side="right")
-    return frozenset(map(tuple, mine[absent].tolist()))
+    return frozenset(map(tuple, mine[kept[absent]].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def _gradient(E: np.ndarray, x: np.ndarray, coef: np.ndarray | None = None,
     at a point or at each row of a matrix; a repeated entry in a row counts
     once per occurrence.  ``cols``, if given, holds x already gathered at
     each column of E, read and left unchanged.  The terms go into one flat
-    array, row b at offset b*n."""
+    array, row b at offset b*n; a lone row indexes it by E's column itself."""
     n, r = x.shape[-1], E.shape[1]
     grad, offsets = np.zeros(x.size), n * np.arange(x.size // n)[:, None]
     for c in range(r):
@@ -130,7 +130,7 @@ def _gradient(E: np.ndarray, x: np.ndarray, coef: np.ndarray | None = None,
             others *= coef
         for b in rest:
             others *= np.take(x, E[:, b], axis=-1) if cols is None else cols[b]
-        np.add.at(grad, (E[:, c] + offsets).ravel(), others.ravel())
+        np.add.at(grad, E[:, c] if x.size == n else (E[:, c] + offsets).ravel(), others.ravel())
     return grad.reshape(x.shape)
 
 
@@ -296,23 +296,47 @@ def symmetry_reduce(G: UniformHypergraph) -> list[list[int]]:
     link differences are empty, that is, when the transposition (i j) is an
     automorphism.  Such transpositions compose, so each vertex is compared
     only with the first member of each class of equal degree.  Weights may be
-    tied inside a class without lowering the achievable maximum."""
+    tied inside a class without lowering the achievable maximum.
+
+    A comparison first checks codegrees, D(u, w) being the number of edges
+    holding both u and w.  Twins u and v have D(u, w) = D(v, w) at every w
+    outside {u, v}, since swapping them maps the edges through u and w onto
+    those through v and w; a pair that differs there is no pair of twins.
+    A pair that agrees may still not be twins, so ``link_difference``
+    decides it, and the classes are those that it alone would give."""
     classes: list[list[int]] = []
-    by_degree: dict[int, list[list[int]]] = {}
-    degree = np.diff(G.links[0]).tolist()
+    # degree -> [class, its first member's codegrees (vertices, counts) or None]
+    by_degree: dict[int, list[list]] = {}
+    starts, rows = G.links
+    degree = np.diff(starts).tolist()
     for v in range(1, G.n + 1):
         same = by_degree.setdefault(degree[v], [])
-        for cls in same:
+        if same:
+            row = np.bincount(rows[starts[v]:starts[v + 1]].ravel(), minlength=G.n + 1)
+        for entry in same:
+            cls, sparse = entry
+            u = cls[0]
+            if sparse is None:
+                counts = np.bincount(rows[starts[u]:starts[u + 1]].ravel())
+                at = np.flatnonzero(counts)
+                sparse = entry[1] = at, counts[at]
+            at, count = sparse
+            # Both rows sum to (r - 1) deg and D(u, v) = D(v, u), so rows that
+            # agree on u's support outside v agree everywhere outside {u, v}.
+            # The gather differs at v, where row[v] = 0, exactly when v is in
+            # u's support, that is, when row[u] > 0
+            if np.count_nonzero(row[at] != count) != (row[u] > 0):
+                continue
             # One direction suffices: an empty L(u\v) means swapping u for v
             # maps the edges holding u but not v one-to-one into those holding
             # v but not u, and equal degree makes that map onto, so L(v\u) is
             # empty too.
-            if not link_difference(G, cls[0], v):
+            if not link_difference(G, u, v):
                 cls.append(v)
                 break
         else:
             cls = [v]
-            same.append(cls)
+            same.append([cls, None])
             classes.append(cls)
     return classes
 
@@ -427,18 +451,28 @@ def bernstein_bound(G: UniformHypergraph, d: int) -> Fraction:
     of more than GRID_POINTS_MAX points, before building it."""
     if d < G.r:
         raise ValueError(f"degree d must be >= r = {G.r}, got {d}")
+    return _bernstein_bounds(G)(d)
+
+
+def _bernstein_bounds(G: UniformHypergraph):
+    """``bernstein_bound(G, d)`` as a function of a degree d >= r, with G's
+    quotient and template weights computed once for every degree scored."""
     if G.m == 0:  # a single class; skips the twin search
-        return Fraction(0)
+        return lambda d: Fraction(0)
     T, _, sizes, _ = quotient(G)
-    _require_grid(d, sizes.size, "degree")
     n_c, rank, den = sizes.astype(object)[T], _ranks(T), lcm(*sizes.tolist())
     # w_T * den^r = prod_c C(n_c, m_c) (den / n_c)^m_c, an integer
     W = ((den // n_c * (n_c - rank)).prod(axis=1) // (rank + 1).prod(axis=1))[:, None]
-    best = 0
-    # one (templates, chunk) block of at most 2^21 entries at a time
-    for chunk in iter_lattice(sizes.size, d, max(1, min(_LATTICE_CAP, 2**21 // len(T)))):
-        score = W
-        for col, ranks in zip(T.T, rank.T):
-            score = score * (chunk.T[col] - ranks[:, None])
-        best = max(best, score.sum(axis=0).max())
-    return Fraction(best, den**G.r * perm(d, G.r))
+
+    def bound(d: int) -> Fraction:
+        _require_grid(d, sizes.size, "degree")
+        best = 0
+        # one (templates, chunk) block of at most 2^21 entries at a time
+        for chunk in iter_lattice(sizes.size, d, max(1, min(_LATTICE_CAP, 2**21 // len(T)))):
+            score = W
+            for col, ranks in zip(T.T, rank.T):
+                score = score * (chunk.T[col] - ranks[:, None])
+            best = max(best, score.sum(axis=0).max())
+        return Fraction(best, den**G.r * perm(d, G.r))
+
+    return bound

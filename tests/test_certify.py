@@ -470,6 +470,24 @@ def test_profiles_case_names_the_closing_degree():
     assert "not its Lagrangian" in case.detail
 
 
+@pytest.mark.parametrize("kind,k,s,report", [
+    ("t1", None, 7, (119, F(2, 25), (0, 5, 1), 6)),
+    ("t3", 2, 6, (70, F(13, 120), (1, 1, 0, 0, 4), 6)),
+])
+def test_profile_sweep_finds_each_quotient_once(monkeypatch, kind, k, s, report):
+    import hyperlag.optimize as optimize
+
+    graphs, quotients = [], []
+    profile_graph, quotient = certify._profile_graph, optimize.quotient
+    monkeypatch.setattr(certify, "_profile_graph", lambda *a: graphs.append(profile_graph(*a)) or graphs[-1])
+    monkeypatch.setattr(optimize, "quotient", lambda G: quotients.append(G) or quotient(G))
+    rep = enumerate_profiles_and_bound(kind, s, k=k)
+    assert (rep.profiles_checked, rep.worst_value, rep.worst_profile, rep.worst_degree) == report
+    assert rep.open_profiles == () and rep.passed
+    # one quotient per profile graph with edges, though many take several degrees
+    assert quotients == [G for G in graphs if G.m]
+
+
 def test_profiles_t3_all_singletons():
     # five singleton parts give a complete pattern slice on 5 vertices
     from hyperlag.certify import _profile_graph

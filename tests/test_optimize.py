@@ -336,7 +336,14 @@ def union_find_classes(G):
     return sorted(groups.values(), key=lambda cls: cls[0])
 
 
+# 1 and 2 meet every other vertex in one edge each, so their codegrees agree,
+# but no edge through 1 swaps onto an edge through 2: near-twins, not twins
+NEAR_TWINS = UniformHypergraph(3, 6, [(1, 3, 4), (1, 5, 6), (2, 3, 5), (2, 4, 6)])
+
+
 def twin_test_graphs():
+    yield NEAR_TWINS
+    yield blow_up(NEAR_TWINS, [2, 2, 1, 3, 1, 2])
     rng = random.Random(404)
     for r in (2, 3, 4):
         for _ in range(12):
@@ -359,6 +366,29 @@ def test_symmetry_reduce_matches_all_pairs_closure():
                 image = {tuple(sorted(swap.get(w, w) for w in e)) for e in edges(G)}
                 assert image == set(edges(G))
     assert with_twins >= 36  # keeps the twin case covered if the seed changes
+
+
+def test_near_twins_pass_the_codegree_test_and_fail_the_confirmation(monkeypatch):
+    calls = count_calls(monkeypatch, "link_difference")
+    assert symmetry_reduce(NEAR_TWINS) == [[v] for v in range(1, 7)]
+    assert [a[1:] for a in calls] == [(1, 2), (4, 5), (3, 6)]
+
+
+@pytest.mark.parametrize("build,confirmations", [
+    (lambda: UniformHypergraph(3, 60, random.Random("0:60:10000").sample(
+        list(itertools.combinations(range(1, 61), 3)), 10_000)), 0),
+    (lambda: build_theorem1_base(30), 27),
+    (lambda: instantiate_pattern(build_theorem3_pattern(2), 35), 30),
+], ids=["random_0_60_10000", "t1_base_30", "t3_k2_35"])
+def test_twin_search_confirms_only_twins(monkeypatch, build, confirmations):
+    # every pair that passes the codegree test is a pair of twins here, so
+    # each vertex that joins a class costs one confirmation and no other
+    # vertex costs any; comparing with every class of equal degree made 29,
+    # 39 and 39 calls
+    G = build()
+    calls = count_calls(monkeypatch, "link_difference")
+    classes = symmetry_reduce(G)
+    assert len(calls) == G.n - len(classes) == confirmations
 
 
 def test_link_difference_matches_edge_scan():
@@ -602,7 +632,7 @@ def count_calls(monkeypatch, name):
     import hyperlag.optimize as optimize
 
     calls, inner = [], getattr(optimize, name)
-    monkeypatch.setattr(optimize, name, lambda *a, **k: calls.append(1) or inner(*a, **k))
+    monkeypatch.setattr(optimize, name, lambda *a, **k: calls.append(a) or inner(*a, **k))
     return calls
 
 
